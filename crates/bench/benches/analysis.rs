@@ -1,5 +1,5 @@
 //! Benches for the thermal DFA — the E5 cost curve (analysis time vs
-//! granularity) plus the classic analyses for scale reference.
+//! granularity) plus liveness for scale reference.
 //!
 //! Offline harness (`tadfa_bench::quickbench`) in place of criterion —
 //! see that module's docs.
@@ -8,7 +8,7 @@
 
 use tadfa_bench::quickbench::Harness;
 use tadfa_core::Session;
-use tadfa_dataflow::{Bitwidth, Liveness};
+use tadfa_dataflow::Liveness;
 use tadfa_ir::Cfg;
 use tadfa_regalloc::{allocate_linear_scan, policy_by_name, RegAllocConfig};
 use tadfa_thermal::{Floorplan, RegisterFile};
@@ -31,14 +31,13 @@ fn bench_dfa_granularity(h: &mut Harness) {
     }
 }
 
-fn bench_classic_analyses(h: &mut Harness) {
+fn bench_liveness(h: &mut Harness) {
     let func = matmul(5).func;
     let cfg = Cfg::compute(&func);
 
     h.bench_function("liveness_matmul", || {
         Liveness::compute(&func, &cfg).num_vregs()
     });
-    h.bench_function("bitwidth_matmul", || Bitwidth::compute(&func, &cfg).passes);
 }
 
 fn bench_allocation_policies(h: &mut Harness) {
@@ -62,7 +61,7 @@ fn bench_allocation_policies(h: &mut Harness) {
 fn main() {
     let mut h = Harness::new();
     bench_dfa_granularity(&mut h);
-    bench_classic_analyses(&mut h);
+    bench_liveness(&mut h);
     bench_allocation_policies(&mut h);
     h.report();
 }

@@ -1,6 +1,5 @@
-//! A dense, fixed-capacity bit set used as the fact domain of the classic
-//! bit-vector analyses (liveness, reaching definitions, available
-//! expressions).
+//! A dense, fixed-capacity bit set used as the fact domain of the
+//! bit-vector analyses (liveness) and of register interference.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

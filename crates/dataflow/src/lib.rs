@@ -1,16 +1,11 @@
 //! # tadfa-dataflow — classic dataflow analyses
 //!
 //! The dataflow substrate of the *Thermal-Aware Data Flow Analysis*
-//! reproduction (DAC 2009): a generic worklist solver plus the textbook
-//! analyses the paper positions its thermal analysis against (§3):
+//! reproduction (DAC 2009): a generic worklist solver plus the classic
+//! analyses the allocators and the predictive thermal mode consume:
 //!
 //! * [`Liveness`] — one bit per variable; feeds interference-based
 //!   register allocation and the register-pressure measurements of §2;
-//! * [`Bitwidth`] — an interval per variable (Stephenson et al., the
-//!   paper's reference \[7\]), its mid-complexity reference point;
-//! * [`ReachingDefs`], [`AvailableExprs`] — the remaining classics,
-//!   exercising both may- (union) and must- (intersection) joins of the
-//!   solver;
 //! * [`DefUse`] — def-use chains with loop-weighted access frequencies,
 //!   the static activity estimate used by the predictive thermal mode;
 //! * [`LiveIntervals`] — the linear-scan view of liveness used by
@@ -43,20 +38,14 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod available;
 mod bitset;
-mod bitwidth;
 mod defuse;
 mod intervals;
 mod liveness;
-mod reaching;
 pub mod solver;
 
-pub use available::{AvailableExprs, ExprKey, ExprTable};
 pub use bitset::{DenseBitSet, Iter};
-pub use bitwidth::{Bitwidth, Interval};
 pub use defuse::{DefUse, UseSite};
 pub use intervals::{LiveInterval, LiveIntervals};
 pub use liveness::Liveness;
-pub use reaching::{DefSites, ReachingDefs};
 pub use solver::{solve, Analysis, BlockFacts, Direction};

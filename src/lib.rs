@@ -7,7 +7,7 @@
 //! | crate | contents |
 //! |-------|----------|
 //! | [`ir`] | three-address IR (with direct calls + modules), CFG, dominators, loops, call graph, parser, verifier |
-//! | [`dataflow`] | worklist solver, liveness, reaching defs, available exprs, bitwidth, live intervals |
+//! | [`dataflow`] | worklist solver, liveness, def-use chains, live intervals |
 //! | [`thermal`] | register-file floorplan, RC compact model, power model, heat maps |
 //! | [`regalloc`] | linear-scan + coloring allocators, Fig. 1 assignment policies |
 //! | [`core`] | **the paper**: the [`Session`](crate::prelude::Session) façade, the thermal DFA (Fig. 2), δ-convergence, critical variables, predictive mode, the parallel [`engine`] |
