@@ -123,16 +123,24 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The deepest array/object nesting [`parse`] accepts. The reader
+/// recurses once per level, so an unbounded nest in untrusted input (a
+/// 20 KB request line of `[`) would overflow the thread's stack; every
+/// document this workspace writes nests only a few levels.
+const MAX_DEPTH: usize = 64;
+
 /// Parses one JSON document (trailing whitespace allowed, trailing
 /// garbage rejected).
 ///
 /// # Errors
 ///
-/// Returns a [`JsonError`] with the byte offset of the first problem.
+/// Returns a [`JsonError`] with the byte offset of the first problem,
+/// including arrays and objects nested more than 64 levels deep.
 pub fn parse(src: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
         bytes: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -146,6 +154,8 @@ pub fn parse(src: &str) -> Result<JsonValue, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -177,8 +187,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -186,6 +196,21 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object, refusing to open a level past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
@@ -383,6 +408,25 @@ mod tests {
             "{\"a\": 00x}",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must fail");
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_depth_cap_is_an_error_not_a_stack_overflow() {
+        let arrays = |levels: usize| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+        let objects =
+            |levels: usize| format!("{}0{}", "{\"a\": ".repeat(levels), "}".repeat(levels));
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        for doc in [
+            arrays(MAX_DEPTH + 1),
+            objects(MAX_DEPTH + 1),
+            // The request line that used to kill a live server: far
+            // below the line cap, far past the stack.
+            "[".repeat(20_000),
+        ] {
+            let e = parse(&doc).unwrap_err();
+            assert!(e.message.contains("nesting"), "{e}");
         }
     }
 

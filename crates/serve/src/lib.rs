@@ -21,7 +21,8 @@
 //! * [`service`] — the [`Server`]: environment loading, the worker
 //!   pool, per-request worker-count and deadline overrides, and the
 //!   `stats` counters (including the solve cache's
-//!   `rejected_stores`);
+//!   `rejected_stores`), and the connection layer (reactor shards, line
+//!   cap, stall reaping, response [`Sink`]s) the fleet router shares;
 //! * [`fleet`] / [`router`] / [`health`] — the self-healing multi-
 //!   process layer: a supervisor that spawns and resurrects N
 //!   `tadfa-serve` workers (each with its own cache slice for warm,
@@ -58,6 +59,7 @@ pub mod latency;
 pub mod persist;
 pub mod protocol;
 pub mod queue;
+mod reactor;
 pub mod router;
 pub mod service;
 
@@ -67,5 +69,6 @@ pub use latency::{LatencyHistogram, LatencySnapshot};
 pub use persist::{CompactPlan, CompactReport, LoadReport, PersistStats, SegmentStore};
 pub use protocol::{parse_request, parse_response, Op, ParsedResponse, Request, RequestError};
 pub use queue::{AdmissionQueue, QueueStats, RejectReason};
+pub use reactor::{sink, Sink};
 pub use router::{shard_of, Router, RouterPolicy};
-pub use service::{sink, ServeError, Server, ServerConfig, Sink};
+pub use service::{ServeError, Server, ServerConfig};

@@ -23,21 +23,23 @@
 //! — retryable, explicit, and cheap — never a hang and never a
 //! silently dropped request.
 //!
-//! Fan-out ops are handled at the router: `ping` answers inline
-//! (router liveness), `stats` merges every worker's counters (summed
+//! Client connections ride `tadfa-serve`'s connection layer, so `ping`
+//! and `shutdown` (which tears the whole fleet down) are answered
+//! inline and every other op waits in the router's admission queue.
+//! Forwarders answer `stats` by merging every worker's counters (summed
 //! per scenario stem, so single-process gates like "total `preloaded`
-//! after restart" keep working unchanged against a fleet) and adds a
-//! `fleet` section with per-worker health/restart/generation detail,
-//! `reload` broadcasts, and `shutdown` tears the whole fleet down.
+//! after restart" keep working unchanged against a fleet) plus a `fleet`
+//! section with per-worker health/restart/generation detail, and
+//! `reload` by broadcasting it.
 
 use crate::fleet::{FleetState, WorkerSlot};
-use crate::latency::LatencyHistogram;
-use crate::protocol::{self, kind, Op, Request};
-use crate::queue::{AdmissionQueue, RejectReason};
-use crate::service::{sink, write_line, Sink};
+use crate::protocol::{self, kind, Op};
+use crate::queue::RejectReason;
+use crate::reactor::{self, write_line, Admission, Job, LineHandler};
+use crate::service::ServerConfig;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -121,39 +123,25 @@ impl Default for RouterPolicy {
     }
 }
 
-/// One admitted request: the raw line to forward verbatim, its parsed
-/// form (for sharding and deadline), its admission instant (the
-/// deadline epoch), and the client sink for the response.
-struct RouterJob {
-    line: String,
-    request: Request,
-    admitted: Instant,
-    out: Sink,
-}
-
 impl std::fmt::Debug for Router {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Router")
             .field("workers", &self.state.worker_count())
-            .field("queue", &self.queue.stats())
+            .field("queue", &self.admission.queue.stats())
             .finish()
     }
 }
 
 /// The fleet front-end. Share via `Arc`; [`Router::run_forwarders`]
-/// starts the drain threads and [`Router::serve`] runs the accept
-/// loop until shutdown.
+/// starts the drain threads and [`Router::serve`] runs the connection
+/// layer until shutdown.
 pub struct Router {
     state: Arc<FleetState>,
     policy: RouterPolicy,
-    queue: AdmissionQueue<RouterJob>,
-    latency: LatencyHistogram,
+    admission: Admission,
     forwarded: AtomicU64,
     retries: AtomicU64,
     failovers: AtomicU64,
-    shed: AtomicU64,
-    served_ok: AtomicU64,
-    served_err: AtomicU64,
 }
 
 impl Router {
@@ -163,14 +151,10 @@ impl Router {
         Arc::new(Router {
             state,
             policy,
-            queue: AdmissionQueue::new(queue_capacity),
-            latency: LatencyHistogram::new(),
+            admission: Admission::new(queue_capacity),
             forwarded: AtomicU64::new(0),
             retries: AtomicU64::new(0),
             failovers: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            served_ok: AtomicU64::new(0),
-            served_err: AtomicU64::new(0),
         })
     }
 
@@ -180,19 +164,16 @@ impl Router {
             .map(|_| {
                 let router = Arc::clone(self);
                 std::thread::spawn(move || {
-                    while let Some(job) = router.queue.pop() {
-                        let response = router.forward(&job);
+                    while let Some(job) = router.admission.queue.pop() {
+                        let response = match job.request.op {
+                            Op::Stats => router.fleet_stats(job.request.id),
+                            Op::Reload => router.broadcast_reload(job.request.id),
+                            _ => router.forward(&job),
+                        };
                         let ok = protocol::parse_response(&response)
                             .map(|r| r.ok)
                             .unwrap_or(false);
-                        if ok {
-                            router.served_ok.fetch_add(1, Ordering::Relaxed);
-                        } else {
-                            router.served_err.fetch_add(1, Ordering::Relaxed);
-                        }
-                        let elapsed = job.admitted.elapsed();
-                        let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-                        router.latency.record(ns);
+                        router.admission.record(ok, job.admitted);
                         write_line(&job.out, &response);
                     }
                 })
@@ -200,138 +181,27 @@ impl Router {
             .collect()
     }
 
-    /// The accept loop: one thread per client connection, polling the
-    /// shutdown flag between accepts. Returns once shutdown is
-    /// requested (by a client `shutdown` or externally).
+    /// Serves client connections on `listener` until a client
+    /// `shutdown`, through `tadfa-serve`'s connection layer with the
+    /// policy's line cap and the server's other connection defaults.
     ///
     /// # Errors
     ///
-    /// Only the initial nonblocking-mode switch can fail; accept
-    /// errors are logged and survived.
+    /// Propagates a failure to make the listener nonblocking and fatal
+    /// accept errors.
     pub fn serve(self: &Arc<Router>, listener: TcpListener) -> std::io::Result<()> {
-        listener.set_nonblocking(true)?;
-        while !self.state.shutting_down() {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    // Small request/response lines; Nagle queuing them
-                    // behind a delayed ACK costs ~40ms per hop.
-                    let _ = stream.set_nodelay(true);
-                    let router = Arc::clone(self);
-                    std::thread::spawn(move || {
-                        if stream.set_nonblocking(false).is_ok() {
-                            router.handle_conn(stream);
-                        }
-                    });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(e) => {
-                    eprintln!("tadfa-fleet: accept error: {e}");
-                    std::thread::sleep(Duration::from_millis(100));
-                }
-            }
-        }
-        self.queue.close();
-        Ok(())
-    }
-
-    /// One client connection: parse lines, answer router-local ops
-    /// inline, enqueue the rest for the forwarders. Responses may be
-    /// written out of order by forwarder threads — that is the
-    /// protocol's contract, and the per-sink lock keeps lines atomic.
-    fn handle_conn(self: &Arc<Router>, stream: TcpStream) {
-        let out = match stream.try_clone() {
-            Ok(w) => sink(w),
-            Err(_) => return,
+        let cfg = ServerConfig {
+            max_line_bytes: self.policy.max_line_bytes,
+            ..ServerConfig::default()
         };
-        let mut reader = BufReader::new(stream);
-        let mut line = String::new();
-        loop {
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) | Err(_) => return,
-                Ok(_) => {}
-            }
-            if line.len() > self.policy.max_line_bytes {
-                write_line(
-                    &out,
-                    &protocol::error_response(
-                        None,
-                        kind::REQUEST_TOO_LARGE,
-                        &format!("request line exceeds {} bytes", self.policy.max_line_bytes),
-                    ),
-                );
-                return;
-            }
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            let request = match protocol::parse_request(trimmed) {
-                Ok(r) => r,
-                Err(e) => {
-                    write_line(
-                        &out,
-                        &protocol::error_response(e.id, kind::BAD_REQUEST, &e.message),
-                    );
-                    continue;
-                }
-            };
-            match &request.op {
-                Op::Ping => write_line(&out, &protocol::pong_response(request.id)),
-                Op::Stats => {
-                    let response = self.fleet_stats(request.id);
-                    write_line(&out, &response);
-                }
-                Op::Reload => {
-                    let response = self.broadcast_reload(request.id);
-                    write_line(&out, &response);
-                }
-                Op::Shutdown => {
-                    write_line(&out, &protocol::shutdown_response(request.id));
-                    self.state.request_shutdown();
-                    self.queue.close();
-                    return;
-                }
-                Op::RunScenario { .. } | Op::Analyze { .. } | Op::AnalyzeModule { .. } => {
-                    let job = RouterJob {
-                        line: trimmed.to_string(),
-                        request,
-                        admitted: Instant::now(),
-                        out: Arc::clone(&out),
-                    };
-                    if let Err((job, reason)) = self.queue.try_push(job) {
-                        let (error_kind, message) = match reason {
-                            RejectReason::Full => {
-                                self.shed.fetch_add(1, Ordering::Relaxed);
-                                (
-                                    kind::FLEET_OVERLOADED,
-                                    format!(
-                                        "router queue full (capacity {})",
-                                        self.policy.queue_capacity
-                                    ),
-                                )
-                            }
-                            RejectReason::Closed => {
-                                (kind::SHUTTING_DOWN, "fleet is shutting down".to_string())
-                            }
-                        };
-                        write_line(
-                            &job.out,
-                            &protocol::error_response(Some(job.request.id), error_kind, &message),
-                        );
-                    }
-                }
-            }
-        }
+        reactor::serve(Arc::clone(self), listener, &cfg)
     }
 
     /// Forwards one job to its shard with deadline-aware bounded retry
     /// and primary/backup alternation; always returns a response line.
-    fn forward(&self, job: &RouterJob) -> String {
+    fn forward(&self, job: &Job) -> String {
         let workers = self.state.worker_count();
-        let key = shard_key(&job.request.op).expect("only shardable ops are enqueued");
+        let key = shard_key(&job.request.op).expect("stats and reload are not forwarded");
         let primary = (key % workers as u64) as usize;
         let backup = (primary + 1) % workers;
         let deadline_ms = match &job.request.op {
@@ -417,8 +287,8 @@ impl Router {
     }
 
     /// The typed graceful-degradation response.
-    fn shed_response(&self, job: &RouterJob, attempts: u32, why: &str) -> String {
-        self.shed.fetch_add(1, Ordering::Relaxed);
+    fn shed_response(&self, job: &Job, attempts: u32, why: &str) -> String {
+        self.admission.shed.fetch_add(1, Ordering::Relaxed);
         protocol::error_response(
             Some(job.request.id),
             kind::FLEET_OVERLOADED,
@@ -594,37 +464,49 @@ impl Router {
             scenarios.push('}');
         }
 
-        let q = self.queue.stats();
-        let l = self.latency.snapshot();
         format!(
             "{{\"id\": {id}, \"ok\": true, \"op\": \"stats\", \"scenarios\": [{scenarios}], \
              \"fleet\": {{\"workers\": [{workers_json}], \
              \"router\": {{\"forwarded\": {}, \"retries\": {}, \"failovers\": {}, \
-             \"shed\": {}}}}}, \
-             \"queue\": {{\"accepted\": {}, \"rejected\": {}, \"peak_depth\": {}, \
-             \"depth\": {}, \"capacity\": {}}}, \
-             \"latency\": {{\"count\": {}, \"mean_ns\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \
-             \"p999_ns\": {}, \"max_ns\": {}}}, \
-             \"requests\": {{\"ok\": {}, \"errors\": {}, \"shed\": {}, \"persist_errors\": 0}}}}",
+             \"shed\": {}}}}}, {}}}",
             self.forwarded.load(Ordering::Relaxed),
             self.retries.load(Ordering::Relaxed),
             self.failovers.load(Ordering::Relaxed),
-            self.shed.load(Ordering::Relaxed),
-            q.accepted,
-            q.rejected,
-            q.peak_depth,
-            q.depth,
-            q.capacity,
-            l.count,
-            l.mean_ns,
-            l.p50_ns,
-            l.p99_ns,
-            l.p999_ns,
-            l.max_ns,
-            self.served_ok.load(Ordering::Relaxed),
-            self.served_err.load(Ordering::Relaxed),
-            self.shed.load(Ordering::Relaxed),
+            self.admission.shed.load(Ordering::Relaxed),
+            self.admission.stats_blocks(0),
         )
+    }
+}
+
+impl LineHandler for Router {
+    fn admission(&self) -> &Admission {
+        &self.admission
+    }
+
+    /// A full queue sheds the request as `fleet-overloaded` (counted).
+    fn rejection(&self, reason: RejectReason) -> (&'static str, String) {
+        match reason {
+            RejectReason::Full => {
+                self.admission.shed.fetch_add(1, Ordering::Relaxed);
+                (
+                    kind::FLEET_OVERLOADED,
+                    format!(
+                        "router queue full (capacity {})",
+                        self.policy.queue_capacity
+                    ),
+                )
+            }
+            RejectReason::Closed => (kind::SHUTTING_DOWN, "fleet is shutting down".to_string()),
+        }
+    }
+
+    fn shutdown(&self) {
+        self.state.request_shutdown();
+        self.admission.queue.close();
+    }
+
+    fn shutting_down(&self) -> bool {
+        self.state.shutting_down()
     }
 }
 

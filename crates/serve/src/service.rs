@@ -21,13 +21,14 @@
 //!                             └── error, never block └──► sink
 //! ```
 //!
-//! Connection I/O runs on a small fixed set of **reactor shards**
-//! ([`Server::serve_listener`]): each shard owns its connections'
-//! nonblocking sockets and per-connection line buffers, so thousands
-//! of idle or dribbling clients cost buffers, not threads. Reactors
-//! never compute: they parse, answer `ping`/`shutdown` inline, and
-//! either admit the request into the bounded [`AdmissionQueue`] or
-//! answer `queue-full` immediately — overload degrades into clean
+//! Connection I/O runs on the connection layer the fleet router
+//! shares ([`Server::serve_listener`]): a small fixed set of reactor
+//! shards owns every connection's nonblocking socket and line buffer,
+//! so thousands of idle or dribbling clients cost buffers, not
+//! threads. Reactors never compute: they parse, answer
+//! `ping`/`shutdown` inline, and either admit the request into the
+//! bounded [`AdmissionQueue`](crate::AdmissionQueue) or answer
+//! `queue-full` immediately — overload degrades into clean
 //! rejections, not latency or memory. Abusive input degrades the one
 //! connection, never the shard: a line exceeding
 //! [`ServerConfig::max_line_bytes`] gets `request-too-large` and a
@@ -44,7 +45,7 @@
 //! overload the queue stays short and fresh requests still meet the
 //! SLO, instead of every response arriving uselessly late. Every
 //! response's admission→response latency lands in a
-//! [`LatencyHistogram`] surfaced by `stats`.
+//! [`LatencyHistogram`](crate::LatencyHistogram) surfaced by `stats`.
 //!
 //! # The persistent cache tier
 //!
@@ -78,17 +79,17 @@
 //! committed specs against a live server and CI fails if even one
 //! byte of fingerprint moves.
 
-use crate::latency::LatencyHistogram;
 use crate::persist::SegmentStore;
 use crate::protocol::{self, kind, Op, Request};
-use crate::queue::{AdmissionQueue, QueueStats, RejectReason};
+use crate::queue::{QueueStats, RejectReason};
+use crate::reactor::{self, sink, write_line, Admission, LineHandler, Sink};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io::{BufRead, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::BufRead;
+use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 use tadfa_core::TadfaError;
 use tadfa_sched::json::{self, escape};
@@ -230,30 +231,6 @@ impl From<SpecError> for ServeError {
     }
 }
 
-/// A connection's response sink: whole lines, serialized by the mutex.
-pub type Sink = Arc<Mutex<Box<dyn Write + Send>>>;
-
-/// Wraps a writer into a [`Sink`].
-pub fn sink(w: impl Write + Send + 'static) -> Sink {
-    Arc::new(Mutex::new(Box::new(w)))
-}
-
-/// Writes one response line to a sink (errors ignored: a vanished
-/// client must not take the service down).
-pub fn write_line(out: &Sink, line: &str) {
-    let mut w = out.lock().expect("sink poisoned");
-    let _ = writeln!(w, "{line}");
-    let _ = w.flush();
-}
-
-/// One admitted unit of work: the request, when it was admitted (the
-/// deadline/SLO epoch), and where its response goes.
-struct Job {
-    request: Request,
-    admitted: Instant,
-    out: Sink,
-}
-
 /// One loaded scenario environment plus its served-request counters
 /// and (optionally) its slice of the persistent cache tier.
 struct ScenarioEnv {
@@ -273,13 +250,9 @@ type EnvMap = BTreeMap<String, Arc<ScenarioEnv>>;
 struct Inner {
     cfg: ServerConfig,
     envs: RwLock<Arc<EnvMap>>,
-    queue: AdmissionQueue<Job>,
+    admission: Admission,
     shutdown: AtomicBool,
-    served_ok: AtomicU64,
-    served_err: AtomicU64,
-    shed: AtomicU64,
     persist_errors: AtomicU64,
-    latency: LatencyHistogram,
 }
 
 /// The persistent analysis service. See the [module docs](self) for
@@ -293,7 +266,7 @@ impl fmt::Debug for Server {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Server")
             .field("scenarios", &self.envs().len())
-            .field("queue", &self.inner.queue.stats())
+            .field("queue", &self.inner.admission.queue.stats())
             .finish()
     }
 }
@@ -317,13 +290,9 @@ impl Server {
             inner: Arc::new(Inner {
                 cfg: cfg.clone(),
                 envs: RwLock::new(Arc::new(envs)),
-                queue: AdmissionQueue::new(cfg.queue_capacity),
+                admission: Admission::new(cfg.queue_capacity),
                 shutdown: AtomicBool::new(false),
-                served_ok: AtomicU64::new(0),
-                served_err: AtomicU64::new(0),
-                shed: AtomicU64::new(0),
                 persist_errors: AtomicU64::new(0),
-                latency: LatencyHistogram::new(),
             }),
         };
         if let Some(golden) = cfg.warm_golden.clone() {
@@ -344,14 +313,9 @@ impl Server {
         self.envs().keys().cloned().collect()
     }
 
-    /// Whether a `shutdown` request has been observed.
-    pub fn shutting_down(&self) -> bool {
-        self.inner.shutdown.load(Ordering::Relaxed)
-    }
-
     /// The admission queue's counters.
     pub fn queue_stats(&self) -> QueueStats {
-        self.inner.queue.stats()
+        self.inner.admission.queue.stats()
     }
 
     /// Runs every scenario with a committed golden once, verifying the
@@ -423,33 +387,24 @@ impl Server {
             .cfg
             .shed_after_ms
             .is_some_and(|ms| admitted.elapsed() >= Duration::from_millis(ms));
-        let line = if shed {
-            self.inner.shed.fetch_add(1, Ordering::Relaxed);
-            self.inner.served_err.fetch_add(1, Ordering::Relaxed);
-            protocol::error_response(
+        let (ok, line) = if shed {
+            self.inner.admission.shed.fetch_add(1, Ordering::Relaxed);
+            let line = protocol::error_response(
                 Some(req.id),
                 kind::SLO_SHED,
                 &format!(
                     "request waited past the {} ms SLO; shed without computing — retry",
                     self.inner.cfg.shed_after_ms.unwrap_or_default()
                 ),
-            )
+            );
+            (false, line)
         } else {
             match self.dispatch(req, admitted) {
-                Ok(line) => {
-                    self.inner.served_ok.fetch_add(1, Ordering::Relaxed);
-                    line
-                }
-                Err(line) => {
-                    self.inner.served_err.fetch_add(1, Ordering::Relaxed);
-                    line
-                }
+                Ok(line) => (true, line),
+                Err(line) => (false, line),
             }
         };
-        let elapsed = admitted.elapsed();
-        self.inner
-            .latency
-            .record(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
+        self.inner.admission.record(ok, admitted);
         self.persist_new_entries();
         line
     }
@@ -669,30 +624,11 @@ impl Server {
             }
             scenarios.push('}');
         }
-        let q = self.inner.queue.stats();
-        let l = self.inner.latency.snapshot();
         format!(
-            "{{\"id\": {id}, \"ok\": true, \"op\": \"stats\", \"scenarios\": [{scenarios}], \
-             \"queue\": {{\"accepted\": {}, \"rejected\": {}, \"peak_depth\": {}, \
-             \"depth\": {}, \"capacity\": {}}}, \
-             \"latency\": {{\"count\": {}, \"mean_ns\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \
-             \"p999_ns\": {}, \"max_ns\": {}}}, \
-             \"requests\": {{\"ok\": {}, \"errors\": {}, \"shed\": {}, \"persist_errors\": {}}}}}",
-            q.accepted,
-            q.rejected,
-            q.peak_depth,
-            q.depth,
-            q.capacity,
-            l.count,
-            l.mean_ns,
-            l.p50_ns,
-            l.p99_ns,
-            l.p999_ns,
-            l.max_ns,
-            self.inner.served_ok.load(Ordering::Relaxed),
-            self.inner.served_err.load(Ordering::Relaxed),
-            self.inner.shed.load(Ordering::Relaxed),
-            self.inner.persist_errors.load(Ordering::Relaxed),
+            "{{\"id\": {id}, \"ok\": true, \"op\": \"stats\", \"scenarios\": [{scenarios}], {}}}",
+            self.inner
+                .admission
+                .stats_blocks(self.inner.persist_errors.load(Ordering::Relaxed))
         )
     }
 
@@ -704,76 +640,13 @@ impl Server {
             .map(|_| {
                 let server = self.clone();
                 std::thread::spawn(move || {
-                    while let Some(job) = server.inner.queue.pop() {
+                    while let Some(job) = server.inner.admission.queue.pop() {
                         let line = server.handle(&job.request, job.admitted);
                         write_line(&job.out, &line);
                     }
                 })
             })
             .collect()
-    }
-
-    /// Processes one complete request line: parse, answer
-    /// `ping`/`shutdown` inline, admit everything else into the
-    /// bounded queue — or answer `queue-full` immediately when no slot
-    /// is free. Returns `true` when the line requested shutdown. This
-    /// is the one request path both the pipe reader and the reactor
-    /// shards go through.
-    fn handle_line(&self, line: &str, out: &Sink) -> bool {
-        let line = line.trim();
-        if line.is_empty() {
-            return false;
-        }
-        match protocol::parse_request(line) {
-            Err(e) => {
-                write_line(
-                    out,
-                    &protocol::error_response(e.id, kind::BAD_REQUEST, &e.message),
-                );
-                false
-            }
-            Ok(req) => match req.op {
-                // Liveness probes bypass the queue: a loaded
-                // service must still answer "are you there".
-                Op::Ping => {
-                    write_line(out, &protocol::pong_response(req.id));
-                    false
-                }
-                Op::Shutdown => {
-                    self.inner.shutdown.store(true, Ordering::Relaxed);
-                    self.inner.queue.close();
-                    write_line(out, &protocol::shutdown_response(req.id));
-                    true
-                }
-                _ => {
-                    let job = Job {
-                        request: req,
-                        admitted: Instant::now(),
-                        out: Arc::clone(out),
-                    };
-                    if let Err((job, reason)) = self.inner.queue.try_push(job) {
-                        let (error_kind, message) = match reason {
-                            RejectReason::Full => (
-                                kind::QUEUE_FULL,
-                                format!(
-                                    "admission queue full (capacity {}); retry later",
-                                    self.inner.queue.stats().capacity
-                                ),
-                            ),
-                            RejectReason::Closed => (
-                                kind::SHUTTING_DOWN,
-                                "service is shutting down; do not retry here".to_string(),
-                            ),
-                        };
-                        write_line(
-                            out,
-                            &protocol::error_response(Some(job.request.id), error_kind, &message),
-                        );
-                    }
-                    false
-                }
-            },
-        }
     }
 
     /// Runs one connection's blocking read loop until EOF or
@@ -787,7 +660,7 @@ impl Server {
     /// swallowed (a vanished client must not take the service down).
     pub fn attach(&self, reader: impl BufRead, out: &Sink) -> std::io::Result<bool> {
         for line in reader.lines() {
-            if self.handle_line(&line?, out) {
+            if reactor::handle_line(self, &line?, out) {
                 return Ok(true);
             }
         }
@@ -796,7 +669,7 @@ impl Server {
 
     /// Closes the admission queue (drain-and-exit signal for workers).
     pub fn close(&self) {
-        self.inner.queue.close();
+        self.inner.admission.queue.close();
     }
 
     /// Serves one stdin/stdout session — the CI pipe mode. Workers are
@@ -838,70 +711,51 @@ impl Server {
     /// [`ServerConfig::reactor_shards`] reactor threads, each owning
     /// its connections' nonblocking reads and line buffers, all
     /// feeding the one bounded queue and shared worker pool — idle
-    /// connections cost a buffer, not a thread.
+    /// connections cost a buffer, not a thread. Returns once the
+    /// backlog has drained and every thread has been joined.
     ///
     /// # Errors
     ///
     /// Propagates fatal accept errors (per-connection failures are
     /// absorbed).
     pub fn serve_listener(&self, listener: TcpListener) -> std::io::Result<()> {
-        listener.set_nonblocking(true)?;
         let workers = self.start_workers(self.inner.cfg.service_workers);
-        let shard_count = self.inner.cfg.reactor_shards.max(1);
-        let injectors: Vec<Arc<Mutex<Vec<TcpStream>>>> = (0..shard_count)
-            .map(|_| Arc::new(Mutex::new(Vec::new())))
-            .collect();
-        let shards: Vec<_> = injectors
-            .iter()
-            .map(|inj| {
-                let server = self.clone();
-                let inj = Arc::clone(inj);
-                std::thread::spawn(move || reactor_shard(server, inj))
-            })
-            .collect();
-
-        let mut next = 0usize;
-        let accept_result = loop {
-            if self.shutting_down() {
-                break Ok(());
-            }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    // Request/response lines are small; Nagle queuing
-                    // them behind a delayed ACK costs ~40ms per hop.
-                    let _ = stream.set_nodelay(true);
-                    injectors[next % shard_count]
-                        .lock()
-                        .expect("injector poisoned")
-                        .push(stream);
-                    next = next.wrapping_add(1);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::ConnectionAborted | std::io::ErrorKind::Interrupted
-                    ) =>
-                {
-                    // A client that vanished mid-handshake is its
-                    // problem, not the listener's.
-                }
-                Err(e) => break Err(e),
-            }
-        };
-        // Shutdown (or a fatal accept error): stop admitting, let the
-        // backlog drain, and join everything before returning.
-        self.inner.shutdown.store(true, Ordering::Relaxed);
-        self.close();
-        for s in shards {
-            let _ = s.join();
-        }
+        let result = reactor::serve(Arc::new(self.clone()), listener, &self.inner.cfg);
         for w in workers {
             let _ = w.join();
         }
-        accept_result
+        result
+    }
+}
+
+impl LineHandler for Server {
+    fn admission(&self) -> &Admission {
+        &self.inner.admission
+    }
+
+    fn rejection(&self, reason: RejectReason) -> (&'static str, String) {
+        match reason {
+            RejectReason::Full => (
+                kind::QUEUE_FULL,
+                format!(
+                    "admission queue full (capacity {}); retry later",
+                    self.inner.admission.queue.stats().capacity
+                ),
+            ),
+            RejectReason::Closed => (
+                kind::SHUTTING_DOWN,
+                "service is shutting down; do not retry here".to_string(),
+            ),
+        }
+    }
+
+    fn shutdown(&self) {
+        self.inner.shutdown.store(true, Ordering::Relaxed);
+        self.close();
+    }
+
+    fn shutting_down(&self) -> bool {
+        self.inner.shutdown.load(Ordering::Relaxed)
     }
 }
 
@@ -945,247 +799,4 @@ fn build_envs(cfg: &ServerConfig) -> Result<EnvMap, ServeError> {
         );
     }
     Ok(envs)
-}
-
-/// How long a response write may retry `WouldBlock` before the client
-/// is declared stuck and the write abandoned (errors are swallowed at
-/// the sink). Bounds how long one unread-ing client can hold a
-/// service worker.
-const WRITE_PATIENCE: Duration = Duration::from_secs(5);
-
-/// The write half of a reactor connection. The read half runs
-/// nonblocking, and `O_NONBLOCK` is a property of the underlying
-/// socket — shared by every clone of the fd — so writes can hit
-/// `WouldBlock` too; this adapter retries them with bounded patience
-/// so response lines stay whole.
-struct PatientWriter {
-    stream: TcpStream,
-}
-
-impl Write for PatientWriter {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let start = Instant::now();
-        loop {
-            match self.stream.write(buf) {
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if start.elapsed() >= WRITE_PATIENCE {
-                        return Err(e);
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                other => return other,
-            }
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.stream.flush()
-    }
-}
-
-/// What one service pass over a connection concluded.
-enum ConnEvent {
-    /// Bytes moved; poll again soon.
-    Progress,
-    /// Nothing to read; fine for a healthy idle connection.
-    Idle,
-    /// The connection is done (EOF, error, or abuse) — drop it.
-    /// Responses for its already-admitted requests still go out
-    /// through the sink's own socket handle.
-    Close,
-    /// This connection requested shutdown.
-    Shutdown,
-}
-
-/// One reactor-owned connection: the nonblocking read half plus the
-/// partial-line buffer.
-struct Conn {
-    stream: TcpStream,
-    out: Sink,
-    buf: Vec<u8>,
-    last_activity: Instant,
-}
-
-impl Conn {
-    /// Reads whatever is available (bounded per pass for fairness
-    /// across a shard's connections) and processes complete lines.
-    fn service(&mut self, server: &Server, scratch: &mut [u8]) -> ConnEvent {
-        let max_line = server.inner.cfg.max_line_bytes;
-        let mut made_progress = false;
-        let mut read_budget = 16;
-        loop {
-            match self.stream.read(scratch) {
-                Ok(0) => {
-                    // EOF (possibly a half-close: the client shut its
-                    // write side and is waiting to read). Flush any
-                    // final unterminated line, then drop the read
-                    // half; responses still flow through the sink.
-                    return if self.drain_final_line(server, max_line) {
-                        ConnEvent::Shutdown
-                    } else {
-                        ConnEvent::Close
-                    };
-                }
-                Ok(n) => {
-                    self.buf.extend_from_slice(&scratch[..n]);
-                    self.last_activity = Instant::now();
-                    made_progress = true;
-                    match self.process_lines(server, max_line) {
-                        LineOutcome::Shutdown => return ConnEvent::Shutdown,
-                        LineOutcome::TooLarge => {
-                            write_line(
-                                &self.out,
-                                &protocol::error_response(
-                                    None,
-                                    kind::REQUEST_TOO_LARGE,
-                                    &format!(
-                                        "request line exceeds {max_line} bytes; \
-                                         closing connection"
-                                    ),
-                                ),
-                            );
-                            return ConnEvent::Close;
-                        }
-                        LineOutcome::Continue => {}
-                    }
-                    read_budget -= 1;
-                    if read_budget == 0 {
-                        return ConnEvent::Progress;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    return if made_progress {
-                        ConnEvent::Progress
-                    } else {
-                        ConnEvent::Idle
-                    };
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => return ConnEvent::Close,
-            }
-        }
-    }
-
-    /// Handles every complete line in the buffer, stopping early on a
-    /// shutdown request or a line over the size cap (the cap applies
-    /// whether or not the newline has arrived yet — a complete
-    /// oversized request is as unwelcome as an unbounded partial one).
-    fn process_lines(&mut self, server: &Server, max_line: usize) -> LineOutcome {
-        loop {
-            match self.buf.iter().position(|&b| b == b'\n') {
-                Some(pos) if pos > max_line => return LineOutcome::TooLarge,
-                Some(pos) => {
-                    let line: Vec<u8> = self.buf.drain(..=pos).collect();
-                    let line = String::from_utf8_lossy(&line[..line.len() - 1]);
-                    if server.handle_line(&line, &self.out) {
-                        return LineOutcome::Shutdown;
-                    }
-                }
-                None if self.buf.len() > max_line => return LineOutcome::TooLarge,
-                None => return LineOutcome::Continue,
-            }
-        }
-    }
-
-    /// At EOF, a final line may lack its newline (`printf` clients);
-    /// treat end-of-stream as the terminator, as the blocking reader
-    /// does.
-    fn drain_final_line(&mut self, server: &Server, max_line: usize) -> bool {
-        match self.process_lines(server, max_line) {
-            LineOutcome::Shutdown => return true,
-            LineOutcome::TooLarge => {
-                self.buf.clear();
-                return false;
-            }
-            LineOutcome::Continue => {}
-        }
-        if self.buf.is_empty() {
-            return false;
-        }
-        let rest = std::mem::take(&mut self.buf);
-        server.handle_line(&String::from_utf8_lossy(&rest), &self.out)
-    }
-}
-
-/// What [`Conn::process_lines`] found in the buffer.
-enum LineOutcome {
-    /// All complete lines handled; the remainder (if any) is a
-    /// within-budget partial line.
-    Continue,
-    /// A shutdown request was seen.
-    Shutdown,
-    /// A line exceeded the configured size cap.
-    TooLarge,
-}
-
-/// One reactor shard: adopt injected connections, poll them round the
-/// loop, reap the closed/abusive, sleep only when nothing moved.
-fn reactor_shard(server: Server, injector: Arc<Mutex<Vec<TcpStream>>>) {
-    let stall = Duration::from_millis(server.inner.cfg.stall_timeout_ms.max(1));
-    // Idle backoff: 50 µs floor, doubling per quiet pass, capped by
-    // config, reset to the floor on any progress.
-    const IDLE_FLOOR_US: u64 = 50;
-    let idle_cap_us = server.inner.cfg.idle_sleep_us.max(IDLE_FLOOR_US);
-    let mut idle_us = IDLE_FLOOR_US;
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut scratch = vec![0u8; 16 * 1024];
-    loop {
-        if server.shutting_down() {
-            return;
-        }
-        for stream in injector.lock().expect("injector poisoned").drain(..) {
-            if stream.set_nonblocking(true).is_err() {
-                continue;
-            }
-            let Ok(write_half) = stream.try_clone() else {
-                continue;
-            };
-            conns.push(Conn {
-                stream,
-                out: sink(PatientWriter { stream: write_half }),
-                buf: Vec::new(),
-                last_activity: Instant::now(),
-            });
-        }
-        let mut any_progress = false;
-        let mut shutdown = false;
-        conns.retain_mut(|conn| match conn.service(&server, &mut scratch) {
-            ConnEvent::Progress => {
-                any_progress = true;
-                true
-            }
-            ConnEvent::Idle => {
-                // Slow-loris reaping: only a *partial* line on a
-                // silent socket is abuse; idle keep-alives are free.
-                if !conn.buf.is_empty() && conn.last_activity.elapsed() >= stall {
-                    write_line(
-                        &conn.out,
-                        &protocol::error_response(
-                            None,
-                            kind::BAD_REQUEST,
-                            "partial request line stalled; closing slow connection",
-                        ),
-                    );
-                    false
-                } else {
-                    true
-                }
-            }
-            ConnEvent::Close => false,
-            ConnEvent::Shutdown => {
-                shutdown = true;
-                false
-            }
-        });
-        if shutdown {
-            return;
-        }
-        if any_progress {
-            idle_us = IDLE_FLOOR_US;
-        } else {
-            std::thread::sleep(Duration::from_micros(idle_us));
-            idle_us = (idle_us * 2).min(idle_cap_us);
-        }
-    }
 }

@@ -17,53 +17,14 @@
 //! The chaos tests drive the real `tadfa-load --chaos` path — the same
 //! command CI's fleet-smoke job runs.
 
+mod common;
+
+use common::{mini_scenarios, FleetChild, TempDir};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+use std::path::Path;
+use std::process::Command;
 use tadfa_serve::protocol::{parse_response, ParsedResponse};
-
-/// A scratch directory removed on drop (best-effort).
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let dir = std::env::temp_dir().join(format!("tadfa-fleet-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("temp dir creatable");
-        TempDir(dir)
-    }
-
-    fn path(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-/// A minimal scenario directory (just `solo_baseline`) so repeated
-/// fleet startups stay fast.
-fn mini_scenarios(root: &Path) -> PathBuf {
-    let repo = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
-    let dir = root.join("scenarios");
-    std::fs::create_dir_all(dir.join("golden")).expect("scenario dir creatable");
-    std::fs::copy(
-        repo.join("solo_baseline.toml"),
-        dir.join("solo_baseline.toml"),
-    )
-    .expect("spec copies");
-    std::fs::copy(
-        repo.join("golden/solo_baseline.json"),
-        dir.join("golden/solo_baseline.json"),
-    )
-    .expect("golden copies");
-    dir
-}
 
 /// The committed golden fingerprint for `solo_baseline`.
 fn golden_fingerprint(scenarios: &Path) -> String {
@@ -78,46 +39,15 @@ fn golden_fingerprint(scenarios: &Path) -> String {
 
 /// A real `tadfa-fleet` child plus a TCP connection to its front door.
 struct FleetProc {
-    child: Child,
+    child: FleetChild,
     stream: TcpStream,
     reader: BufReader<TcpStream>,
 }
 
 impl FleetProc {
     fn start(scenarios: &Path, tmp: &Path, workers: usize, extra: &[&str]) -> FleetProc {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_tadfa-fleet"))
-            .arg("--listen")
-            .arg("127.0.0.1:0")
-            .arg("--scenarios")
-            .arg(scenarios)
-            .arg("--workers")
-            .arg(workers.to_string())
-            .arg("--cache-root")
-            .arg(tmp.join("cache"))
-            .arg("--state-dir")
-            .arg(tmp.join("state"))
-            .args(extra)
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("tadfa-fleet spawns");
-        // The banner line carries the ephemeral front address; the rest
-        // of stderr is drained in the background so workers never block
-        // on a full pipe.
-        let stderr = child.stderr.take().expect("piped stderr");
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            for line in BufReader::new(stderr).lines() {
-                let Ok(line) = line else { break };
-                if let Some(rest) = line.strip_prefix("tadfa-fleet: listening on ") {
-                    let addr = rest.split_whitespace().next().unwrap_or("").to_string();
-                    let _ = tx.send(addr);
-                }
-            }
-        });
-        let addr = rx
-            .recv_timeout(Duration::from_secs(120))
-            .expect("fleet reports its front address");
-        let stream = TcpStream::connect(&addr).expect("front door connects");
+        let (child, addr) = FleetChild::spawn(scenarios, tmp, workers, extra);
+        let stream = TcpStream::connect(addr).expect("front door connects");
         let reader = BufReader::new(stream.try_clone().expect("stream clones"));
         FleetProc {
             child,
@@ -140,29 +70,7 @@ impl FleetProc {
     fn shutdown(mut self) {
         let resp = self.call(r#"{"id": 9999, "op": "shutdown"}"#);
         assert!(resp.ok, "shutdown acknowledged");
-        let started = Instant::now();
-        loop {
-            match self.child.try_wait().expect("child waitable") {
-                Some(status) => {
-                    assert!(status.success(), "fleet exits cleanly, got {status}");
-                    return;
-                }
-                None if started.elapsed() > Duration::from_secs(30) => {
-                    let _ = self.child.kill();
-                    panic!("fleet did not exit within 30s of shutdown");
-                }
-                None => std::thread::sleep(Duration::from_millis(50)),
-            }
-        }
-    }
-}
-
-impl Drop for FleetProc {
-    fn drop(&mut self) {
-        // Belt and braces: a panicking test must not leak the process
-        // tree. The supervisor kills its workers on the way down.
-        let _ = self.child.kill();
-        let _ = self.child.wait();
+        self.child.assert_clean_exit();
     }
 }
 

@@ -1,28 +1,156 @@
-//! Protocol-robustness tests over real TCP sockets: malformed JSON,
-//! oversized requests, half-closed connections, and slow-loris
-//! clients must each produce clean, typed protocol errors — and none
-//! of them may wedge the reactor for the well-behaved connections
-//! sharing it.
+//! Protocol-robustness tests over real TCP sockets, run against both
+//! front doors: the in-process `Server` exactly as `tadfa-serve
+//! --listen` runs it, and the real `tadfa-fleet` binary with one
+//! worker. Malformed or deeply nested JSON, oversized lines (complete
+//! or partial), half-closed connections, slow-loris clients and floods
+//! of idle connections must each produce clean, typed protocol errors
+//! or cost nothing — and none of them may wedge the door for the
+//! well-behaved connections sharing it.
 
-use std::io::{BufRead, BufReader, Read, Write};
+mod common;
+
+use common::{mini_scenarios, FleetChild, TempDir};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::path::Path;
+use std::time::{Duration, Instant};
 use tadfa_serve::protocol::{kind, parse_response, ParsedResponse};
-use tadfa_serve::{Server, ServerConfig};
+use tadfa_serve::{RouterPolicy, Server, ServerConfig};
 
-fn scenario_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
+/// The server door's stall timeout, shortened so its slow-loris case
+/// stays quick; the router has no such option and waits out the
+/// default.
+const SERVER_STALL_MS: u64 = 200;
+
+/// The two front doors every case runs against.
+#[derive(Clone, Copy, Debug)]
+enum Door {
+    Server,
+    Fleet,
 }
 
-/// An in-process server listening on an ephemeral port, exactly as
-/// `tadfa-serve --listen` would run it.
-fn tcp_server(cfg: ServerConfig) -> (SocketAddr, std::thread::JoinHandle<std::io::Result<()>>) {
-    let server = Server::load(&cfg).expect("committed scenarios load");
-    let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral bind");
-    let addr = listener.local_addr().expect("bound address");
-    let handle = std::thread::spawn(move || server.serve_listener(listener));
-    (addr, handle)
+/// A front door listening on an ephemeral port.
+enum Running {
+    Server {
+        addr: SocketAddr,
+        handle: std::thread::JoinHandle<std::io::Result<()>>,
+    },
+    Fleet {
+        addr: SocketAddr,
+        child: FleetChild,
+        _tmp: TempDir,
+    },
+}
+
+impl Door {
+    fn start(self, tag: &str) -> Running {
+        match self {
+            Door::Server => {
+                let server = Server::load(&ServerConfig {
+                    scenario_dir: Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios"),
+                    service_workers: 2,
+                    stall_timeout_ms: SERVER_STALL_MS,
+                    ..ServerConfig::default()
+                })
+                .expect("committed scenarios load");
+                let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral bind");
+                let addr = listener.local_addr().expect("bound address");
+                let handle = std::thread::spawn(move || server.serve_listener(listener));
+                Running::Server { addr, handle }
+            }
+            Door::Fleet => {
+                let tmp = TempDir::new(&format!("robust-{tag}"));
+                let scenarios = mini_scenarios(tmp.path());
+                let (child, addr) = FleetChild::spawn(&scenarios, tmp.path(), 1, &[]);
+                let running = Running::Fleet {
+                    addr,
+                    child,
+                    _tmp: tmp,
+                };
+                running.await_healthy_worker();
+                running
+            }
+        }
+    }
+}
+
+impl Running {
+    fn addr(&self) -> SocketAddr {
+        match self {
+            Running::Server { addr, .. } | Running::Fleet { addr, .. } => *addr,
+        }
+    }
+
+    /// How long a partial line may stall before the door reaps it.
+    fn stall(&self) -> Duration {
+        Duration::from_millis(match self {
+            Running::Server { .. } => SERVER_STALL_MS,
+            Running::Fleet { .. } => ServerConfig::default().stall_timeout_ms,
+        })
+    }
+
+    /// The door's request-line size cap.
+    fn max_line(&self) -> usize {
+        match self {
+            Running::Server { .. } => ServerConfig::default().max_line_bytes,
+            Running::Fleet { .. } => RouterPolicy::default().max_line_bytes,
+        }
+    }
+
+    /// The router process's thread count. `None` for the in-process
+    /// server, whose threads share one count with the test harness.
+    fn router_threads(&self) -> Option<usize> {
+        let Running::Fleet { child, .. } = self else {
+            return None;
+        };
+        let status = std::fs::read_to_string(format!("/proc/{}/status", child.process.id()))
+            .expect("router /proc status readable");
+        status
+            .lines()
+            .find_map(|l| l.strip_prefix("Threads:"))
+            .and_then(|n| n.trim().parse().ok())
+    }
+
+    /// Routes only reach a worker once a health probe vouches for it.
+    fn await_healthy_worker(&self) {
+        let started = Instant::now();
+        let mut conn = Conn::open(self.addr());
+        for id in 1.. {
+            conn.send(&format!("{{\"id\": {id}, \"op\": \"stats\"}}"));
+            let stats = conn.recv();
+            let state = stats
+                .doc
+                .get("fleet")
+                .and_then(|f| f.get("workers"))
+                .and_then(|w| w.as_array())
+                .and_then(|w| w.first())
+                .and_then(|w| w.get("state"))
+                .and_then(|s| s.as_str().map(str::to_string));
+            if state.as_deref() == Some("healthy") {
+                return;
+            }
+            assert!(
+                started.elapsed() < Duration::from_secs(60),
+                "worker never turned healthy (last state {state:?})"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+
+    /// Requests shutdown over a fresh connection and waits for the
+    /// door to exit cleanly.
+    fn stop(self) {
+        let mut conn = Conn::open(self.addr());
+        conn.send(r#"{"id": 9999, "op": "shutdown"}"#);
+        assert!(conn.recv().ok, "shutdown acknowledged");
+        match self {
+            Running::Server { handle, .. } => handle
+                .join()
+                .expect("listener thread exits")
+                .expect("listener exits cleanly"),
+            Running::Fleet { mut child, .. } => child.assert_clean_exit(),
+        }
+    }
 }
 
 /// One client connection with line-oriented send/recv helpers.
@@ -49,19 +177,31 @@ impl Conn {
         self.writer.flush().expect("line flushes");
     }
 
+    /// Sends `len` bytes of one request line without its newline. The
+    /// door may close mid-line, so write errors are expected.
+    fn send_partial(&mut self, len: usize) {
+        let _ = self.writer.write_all("x".repeat(len).as_bytes());
+        let _ = self.writer.flush();
+    }
+
     /// The next response line; panics on EOF.
     fn recv(&mut self) -> ParsedResponse {
         let raw = self.recv_raw().expect("response before EOF");
         parse_response(&raw).unwrap_or_else(|e| panic!("unparseable response ({e}): {raw}"))
     }
 
-    /// The next nonempty line, or `None` at EOF.
+    /// The next nonempty line, or `None` once the door closed the
+    /// connection.
     fn recv_raw(&mut self) -> Option<String> {
         loop {
             let mut line = String::new();
-            let n = self.reader.read_line(&mut line).expect("socket readable");
-            if n == 0 {
-                return None;
+            match self.reader.read_line(&mut line) {
+                Ok(0) => return None,
+                Ok(_) => {}
+                // Closing on bytes it never read (an oversized line)
+                // makes the door's kernel answer with a reset.
+                Err(e) if e.kind() == ErrorKind::ConnectionReset => return None,
+                Err(e) => panic!("socket unreadable: {e}"),
             }
             let line = line.trim_end_matches('\n');
             if !line.trim().is_empty() {
@@ -78,30 +218,9 @@ impl Conn {
     }
 }
 
-/// Requests shutdown over a fresh connection and joins the listener.
-fn stop(addr: SocketAddr, handle: std::thread::JoinHandle<std::io::Result<()>>) {
-    let mut conn = Conn::open(addr);
-    conn.send(r#"{"id": 9999, "op": "shutdown"}"#);
-    let resp = conn.recv();
-    assert!(resp.ok, "shutdown acknowledged");
-    handle
-        .join()
-        .expect("listener thread exits")
-        .expect("listener exits cleanly");
-}
-
-fn config() -> ServerConfig {
-    ServerConfig {
-        scenario_dir: scenario_dir(),
-        service_workers: 2,
-        ..ServerConfig::default()
-    }
-}
-
-#[test]
-fn malformed_json_gets_a_typed_error_and_the_connection_survives() {
-    let (addr, handle) = tcp_server(config());
-    let mut conn = Conn::open(addr);
+fn malformed_json_gets_a_typed_error_and_the_connection_survives(door: Door) {
+    let running = door.start("malformed");
+    let mut conn = Conn::open(running.addr());
 
     // Garbage is answered (uncorrelated — there is no id to echo), and
     // the connection is still perfectly usable afterwards.
@@ -118,40 +237,67 @@ fn malformed_json_gets_a_typed_error_and_the_connection_survives() {
     assert_eq!(resp.id, Some(7));
 
     conn.ping(8);
-    stop(addr, handle);
+    running.stop();
 }
 
-#[test]
-fn oversized_requests_are_rejected_and_the_socket_closed() {
-    let (addr, handle) = tcp_server(ServerConfig {
-        max_line_bytes: 1024,
-        ..config()
-    });
+fn deeply_nested_json_is_refused_not_a_stack_overflow(door: Door) {
+    let running = door.start("nested");
+    let mut conn = Conn::open(running.addr());
 
-    // An 8 KiB line against a 1 KiB cap: a typed rejection, then the
-    // connection is closed — an unbounded line may never buffer
-    // unboundedly.
-    let mut fat = Conn::open(addr);
-    let mut line = "x".repeat(8 * 1024);
-    line.push('\n');
-    fat.writer
-        .write_all(line.as_bytes())
-        .expect("fat line writes");
+    // 20 KB: far below the line cap, far past a reader thread's stack
+    // if the parser recursed without a bound.
+    conn.send(&"[".repeat(20_000));
+    let resp = conn.recv();
+    assert!(!resp.ok);
+    assert_eq!(resp.error.as_deref(), Some(kind::BAD_REQUEST));
+    assert!(
+        resp.message.as_deref().unwrap_or("").contains("nesting"),
+        "{resp:?}"
+    );
+
+    conn.ping(2);
+    running.stop();
+}
+
+fn oversized_requests_are_rejected_and_the_socket_closed(door: Door) {
+    let running = door.start("oversize");
+
+    // A complete line past the cap: a typed rejection, then the
+    // connection is closed.
+    let mut fat = Conn::open(running.addr());
+    fat.send_partial(running.max_line() + 1024);
+    let _ = fat.writer.write_all(b"\n");
     let resp = fat.recv();
     assert!(!resp.ok);
     assert_eq!(resp.error.as_deref(), Some(kind::REQUEST_TOO_LARGE));
     assert_eq!(fat.recv_raw(), None, "connection closed after rejection");
 
-    // The reactor shard that hosted it keeps serving everyone else.
-    let mut healthy = Conn::open(addr);
+    // The door keeps serving everyone else.
+    let mut healthy = Conn::open(running.addr());
     healthy.ping(1);
-    stop(addr, handle);
+    running.stop();
 }
 
-#[test]
-fn half_closed_connections_still_receive_their_responses() {
-    let (addr, handle) = tcp_server(config());
-    let mut conn = Conn::open(addr);
+fn oversized_partial_lines_are_rejected_before_the_newline(door: Door) {
+    let running = door.start("partial");
+
+    // The same line with no newline, ever: an unterminated line may
+    // never buffer unboundedly while the door waits for its end.
+    let mut fat = Conn::open(running.addr());
+    fat.send_partial(running.max_line() + 1024);
+    let resp = fat.recv();
+    assert!(!resp.ok);
+    assert_eq!(resp.error.as_deref(), Some(kind::REQUEST_TOO_LARGE));
+    assert_eq!(fat.recv_raw(), None, "connection closed after rejection");
+
+    let mut healthy = Conn::open(running.addr());
+    healthy.ping(1);
+    running.stop();
+}
+
+fn half_closed_connections_still_receive_their_responses(door: Door) {
+    let running = door.start("half-close");
+    let mut conn = Conn::open(running.addr());
 
     // Send one request and immediately close our write half — the
     // classic "fire then shutdown(WR)" client. The response must still
@@ -161,38 +307,37 @@ fn half_closed_connections_still_receive_their_responses() {
         .shutdown(Shutdown::Write)
         .expect("half-close succeeds");
     let resp = conn.recv();
-    assert!(resp.ok, "half-closed client still gets its answer");
+    assert!(
+        resp.ok,
+        "half-closed client still gets its answer: {resp:?}"
+    );
     assert_eq!(resp.id, Some(3));
     assert!(resp.fingerprint.is_some());
-    assert_eq!(conn.recv_raw(), None, "then the server closes too");
+    assert_eq!(conn.recv_raw(), None, "then the door closes too");
 
-    stop(addr, handle);
+    running.stop();
 }
 
-#[test]
-fn slow_loris_is_reaped_without_wedging_the_reactor() {
-    let (addr, handle) = tcp_server(ServerConfig {
-        stall_timeout_ms: 200,
-        ..config()
-    });
+fn slow_loris_is_reaped_without_wedging_the_reactor(door: Door) {
+    let running = door.start("loris");
 
     // A loris: half a request, then silence.
-    let mut loris = Conn::open(addr);
+    let mut loris = Conn::open(running.addr());
     loris
         .writer
         .write_all(br#"{"id": 1, "op": "#)
         .expect("partial line writes");
     loris.writer.flush().expect("partial line flushes");
 
-    // The shard keeps serving a healthy neighbour while the loris
+    // The door keeps serving a healthy neighbour while the loris
     // stalls...
-    let mut healthy = Conn::open(addr);
+    let mut healthy = Conn::open(running.addr());
     healthy.ping(1);
-    std::thread::sleep(Duration::from_millis(600));
+    std::thread::sleep(running.stall() + Duration::from_millis(500));
     healthy.ping(2);
 
     // ...and the loris is gone: its socket reads EOF (possibly after a
-    // final typed error line) instead of holding a shard slot forever.
+    // final typed error line) instead of holding its slot forever.
     let mut tail = Vec::new();
     loris
         .reader
@@ -206,7 +351,59 @@ fn slow_loris_is_reaped_without_wedging_the_reactor() {
     }
 
     // Idle-but-quiet connections (no partial line) are NOT loris: the
-    // healthy conn sat idle through the same window and still works.
+    // healthy conn sat idle through the stall window and still works.
     healthy.ping(3);
-    stop(addr, handle);
+    running.stop();
 }
+
+fn a_flood_of_idle_connections_costs_no_threads(door: Door) {
+    let running = door.start("flood");
+    let before = running.router_threads();
+
+    let mut flood: Vec<Conn> = (0..256).map(|_| Conn::open(running.addr())).collect();
+    // A fresh client queues behind the whole flood at the acceptor, so
+    // its answer means every flood connection has been adopted...
+    Conn::open(running.addr()).ping(1);
+    // ...and flood connections are live connections, not just
+    // accepted sockets.
+    flood[0].ping(2);
+    flood[255].ping(3);
+
+    if let (Some(before), Some(after)) = (before, running.router_threads()) {
+        assert!(
+            after < before + 16,
+            "256 idle connections grew the router from {before} to {after} threads"
+        );
+    }
+    drop(flood);
+    running.stop();
+}
+
+/// Runs every case against both front doors, one test each:
+/// `server::<case>` and `fleet::<case>`.
+macro_rules! both_doors {
+    ($($case:ident),* $(,)?) => {
+        mod server {
+            $(#[test]
+            fn $case() {
+                super::$case(super::Door::Server)
+            })*
+        }
+        mod fleet {
+            $(#[test]
+            fn $case() {
+                super::$case(super::Door::Fleet)
+            })*
+        }
+    };
+}
+
+both_doors!(
+    malformed_json_gets_a_typed_error_and_the_connection_survives,
+    deeply_nested_json_is_refused_not_a_stack_overflow,
+    oversized_requests_are_rejected_and_the_socket_closed,
+    oversized_partial_lines_are_rejected_before_the_newline,
+    half_closed_connections_still_receive_their_responses,
+    slow_loris_is_reaped_without_wedging_the_reactor,
+    a_flood_of_idle_connections_costs_no_threads,
+);
