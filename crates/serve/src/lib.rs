@@ -21,8 +21,10 @@
 //! * [`service`] — the [`Server`]: environment loading, the worker
 //!   pool, per-request worker-count and deadline overrides, and the
 //!   `stats` counters (including the solve cache's
-//!   `rejected_stores`), and the connection layer (reactor shards, line
-//!   cap, stall reaping, response [`Sink`]s) the fleet router shares;
+//!   `rejected_stores`);
+//! * `reactor` (private) — the one connection layer both front doors
+//!   serve through ([`Server::serve_listener`], [`Router::serve`]): the
+//!   acceptor, reactor shards, line cap, stall reaping and [`Sink`]s;
 //! * [`fleet`] / [`router`] / [`health`] — the self-healing multi-
 //!   process layer: a supervisor that spawns and resurrects N
 //!   `tadfa-serve` workers (each with its own cache slice for warm,

@@ -29,8 +29,8 @@ pub(crate) fn write_line(out: &Sink, line: &str) {
     let _ = w.flush();
 }
 
-/// One admitted unit of work: the request and the line it was parsed
-/// from (the router forwards it verbatim), when it was admitted (the
+/// One admitted unit of work: the request, its line if the handler
+/// [keeps it](LineHandler::KEEPS_LINE), when it was admitted (the
 /// deadline/SLO epoch), and where its response goes.
 pub(crate) struct Job {
     pub line: String,
@@ -107,6 +107,10 @@ impl Admission {
 
 /// What a front door decides; the connection layer does the rest.
 pub(crate) trait LineHandler: Send + Sync + 'static {
+    /// Whether jobs keep a copy of their request line: the router
+    /// forwards it verbatim, the server needs only the parsed request.
+    const KEEPS_LINE: bool;
+
     /// Where every request but `ping`/`shutdown` is admitted.
     fn admission(&self) -> &Admission;
 
@@ -154,7 +158,7 @@ pub(crate) fn handle_line<H: LineHandler>(handler: &H, line: &str, out: &Sink) -
             }
             _ => {
                 let job = Job {
-                    line: line.to_string(),
+                    line: String::from(if H::KEEPS_LINE { line } else { "" }),
                     request: req,
                     admitted: Instant::now(),
                     out: Arc::clone(out),
@@ -174,13 +178,13 @@ pub(crate) fn handle_line<H: LineHandler>(handler: &H, line: &str, out: &Sink) -
 
 /// Serves `listener` with `cfg`'s reactor shards, line cap, stall
 /// timeout and idle sleep until the handler shuts down — every way out,
-/// fatal errors included, shuts it down — and returns once every shard
-/// has exited; draining the queue is the caller's job.
+/// errors included, shuts it down — and returns once every shard has
+/// exited; draining the queue is the caller's job.
 ///
 /// # Errors
 ///
-/// Propagates a failure to make the listener nonblocking and fatal
-/// accept errors (per-connection failures are absorbed).
+/// Propagates a failure to make the listener nonblocking. Accept
+/// errors never end serving: they are logged and retried.
 pub(crate) fn serve<H: LineHandler>(
     handler: Arc<H>,
     listener: TcpListener,
@@ -201,10 +205,8 @@ pub(crate) fn serve<H: LineHandler>(
         .collect();
 
     let mut next = 0usize;
-    let accept_result = listener.set_nonblocking(true).and_then(|()| loop {
-        if handler.shutting_down() {
-            break Ok(());
-        }
+    let result = listener.set_nonblocking(true);
+    while result.is_ok() && !handler.shutting_down() {
         match listener.accept() {
             Ok((stream, _)) => {
                 // Request/response lines are small; Nagle queuing
@@ -228,16 +230,21 @@ pub(crate) fn serve<H: LineHandler>(
                 // A client that vanished mid-handshake is its
                 // problem, not the listener's.
             }
-            Err(e) => break Err(e),
+            Err(e) => {
+                // Above all EMFILE/ENFILE, which pass once open
+                // connections close: keep serving them and retry.
+                eprintln!("accept error: {e}; retrying in 100 ms");
+                std::thread::sleep(Duration::from_millis(100));
+            }
         }
-    });
-    // Shutdown (or a fatal listener error): stop admitting and join the
-    // shards; the handler's workers drain the backlog.
+    }
+    // Shutdown, or a listener that would not go nonblocking: stop
+    // admitting, join the shards; the handler's workers drain the rest.
     handler.shutdown();
     for s in shards {
         let _ = s.join();
     }
-    accept_result
+    result
 }
 
 /// How long a response write may retry `WouldBlock` before the client

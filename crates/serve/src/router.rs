@@ -187,8 +187,8 @@ impl Router {
     ///
     /// # Errors
     ///
-    /// Propagates a failure to make the listener nonblocking and fatal
-    /// accept errors.
+    /// Only the initial nonblocking-mode switch can fail; accept
+    /// errors are logged and survived.
     pub fn serve(self: &Arc<Router>, listener: TcpListener) -> std::io::Result<()> {
         let cfg = ServerConfig {
             max_line_bytes: self.policy.max_line_bytes,
@@ -273,17 +273,12 @@ impl Router {
             if attempt > self.policy.max_retries {
                 return self.shed_response(job, attempt, "retry budget exhausted");
             }
-            let backoff = self.backoff(job.request.id, attempt);
+            let backoff = backoff_for(&self.policy, job.request.id, attempt);
             if Instant::now() + backoff >= deadline {
                 return self.shed_response(job, attempt, "next retry would breach the deadline");
             }
             std::thread::sleep(backoff);
         }
-    }
-
-    /// The backoff before retry `attempt` (1-based).
-    fn backoff(&self, id: u64, attempt: u32) -> Duration {
-        backoff_for(&self.policy, id, attempt)
     }
 
     /// The typed graceful-degradation response.
@@ -479,6 +474,8 @@ impl Router {
 }
 
 impl LineHandler for Router {
+    const KEEPS_LINE: bool = true;
+
     fn admission(&self) -> &Admission {
         &self.admission
     }

@@ -34,7 +34,8 @@
 //! [`ServerConfig::max_line_bytes`] gets `request-too-large` and a
 //! close; a partial line stalled past
 //! [`ServerConfig::stall_timeout_ms`] (the slow-loris shape) gets an
-//! error and a close.
+//! error and a close. A failing `accept` (open connections have used
+//! up the file descriptors, say) is logged and retried, never fatal.
 //!
 //! Service workers ([`Server::start_workers`]) pop, execute, and write
 //! the response to the request's connection sink (a mutex-serialized
@@ -695,7 +696,7 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates bind errors and fatal accept errors.
+    /// Propagates bind errors.
     pub fn run_tcp(&self, addr: &str) -> std::io::Result<()> {
         let listener = TcpListener::bind(addr)?;
         eprintln!(
@@ -716,8 +717,8 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates fatal accept errors (per-connection failures are
-    /// absorbed).
+    /// Only the initial nonblocking-mode switch can fail; accept
+    /// errors are logged and survived.
     pub fn serve_listener(&self, listener: TcpListener) -> std::io::Result<()> {
         let workers = self.start_workers(self.inner.cfg.service_workers);
         let result = reactor::serve(Arc::new(self.clone()), listener, &self.inner.cfg);
@@ -729,6 +730,8 @@ impl Server {
 }
 
 impl LineHandler for Server {
+    const KEEPS_LINE: bool = false;
+
     fn admission(&self) -> &Admission {
         &self.inner.admission
     }

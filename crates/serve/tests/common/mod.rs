@@ -57,17 +57,32 @@ pub struct FleetChild {
 
 impl FleetChild {
     /// Spawns a `tadfa-fleet` over `scenarios` with its cache and state
-    /// under `tmp`, and returns it with the ephemeral front address its
-    /// startup banner reports. The rest of its stderr is drained in the
-    /// background so workers never block on a full pipe.
+    /// under `tmp` (and, given `fd_limit`, that open-file limit for the
+    /// router and its workers), and returns it with the ephemeral front
+    /// address its startup banner reports. The rest of its stderr is
+    /// drained in the background so workers never block on a full pipe.
     pub fn spawn(
         scenarios: &Path,
         tmp: &Path,
         workers: usize,
         extra: &[&str],
+        fd_limit: Option<usize>,
     ) -> (FleetChild, SocketAddr) {
         let state_dir = tmp.join("state");
-        let mut child = Command::new(env!("CARGO_BIN_EXE_tadfa-fleet"))
+        let bin = env!("CARGO_BIN_EXE_tadfa-fleet");
+        let mut command = match fd_limit {
+            None => Command::new(bin),
+            Some(limit) => {
+                // `exec` keeps the shell's pid, so `process` is still
+                // the router.
+                let mut sh = Command::new("sh");
+                sh.arg("-c")
+                    .arg(format!("ulimit -n {limit} && exec \"$0\" \"$@\""))
+                    .arg(bin);
+                sh
+            }
+        };
+        let mut child = command
             .arg("--listen")
             .arg("127.0.0.1:0")
             .arg("--scenarios")
@@ -134,15 +149,20 @@ impl Drop for FleetChild {
         }
         let _ = self.process.kill();
         let _ = self.process.wait();
-        for entry in std::fs::read_dir(&self.state_dir).into_iter().flatten() {
-            let Ok(pid) = entry.and_then(|e| std::fs::read_to_string(e.path())) else {
-                continue;
-            };
-            let _ = Command::new("kill")
-                .arg("-9")
-                .arg(pid.trim())
-                .stderr(Stdio::null())
-                .status();
-        }
+        kill_workers(&self.state_dir);
+    }
+}
+
+/// SIGKILLs every worker whose pid file lies in a fleet's `state_dir`.
+pub fn kill_workers(state_dir: &Path) {
+    for entry in std::fs::read_dir(state_dir).into_iter().flatten() {
+        let Ok(pid) = entry.and_then(|e| std::fs::read_to_string(e.path())) else {
+            continue;
+        };
+        let _ = Command::new("kill")
+            .arg("-9")
+            .arg(pid.trim())
+            .stderr(Stdio::null())
+            .status();
     }
 }

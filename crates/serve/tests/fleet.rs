@@ -46,7 +46,7 @@ struct FleetProc {
 
 impl FleetProc {
     fn start(scenarios: &Path, tmp: &Path, workers: usize, extra: &[&str]) -> FleetProc {
-        let (child, addr) = FleetChild::spawn(scenarios, tmp, workers, extra);
+        let (child, addr) = FleetChild::spawn(scenarios, tmp, workers, extra, None);
         let stream = TcpStream::connect(addr).expect("front door connects");
         let reader = BufReader::new(stream.try_clone().expect("stream clones"));
         FleetProc {

@@ -5,22 +5,32 @@
 //! or partial), half-closed connections, slow-loris clients and floods
 //! of idle connections must each produce clean, typed protocol errors
 //! or cost nothing — and none of them may wedge the door for the
-//! well-behaved connections sharing it.
+//! well-behaved connections sharing it. Two router-only cases follow:
+//! running out of file descriptors, and the router's own line cap.
 
 mod common;
 
-use common::{mini_scenarios, FleetChild, TempDir};
+use common::{kill_workers, mini_scenarios, FleetChild, TempDir};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 use tadfa_serve::protocol::{kind, parse_response, ParsedResponse};
-use tadfa_serve::{RouterPolicy, Server, ServerConfig};
+use tadfa_serve::{Fleet, FleetConfig, Router, RouterPolicy, Server, ServerConfig};
 
 /// The server door's stall timeout, shortened so its slow-loris case
 /// stays quick; the router has no such option and waits out the
 /// default.
 const SERVER_STALL_MS: u64 = 200;
+
+/// A request-line cap far below the 1 MiB default, so a whole over-cap
+/// line fits in one reactor read. The server door runs with it, and so
+/// does the in-process router of the policy-cap case; `tadfa-fleet`
+/// has no option for it and keeps the default.
+const SMALL_MAX_LINE: usize = 1024;
+
+/// The router's open-file limit in the descriptor-exhaustion case.
+const FLEET_FD_LIMIT: usize = 64;
 
 /// The two front doors every case runs against.
 #[derive(Clone, Copy, Debug)]
@@ -33,6 +43,7 @@ enum Door {
 enum Running {
     Server {
         addr: SocketAddr,
+        max_line: usize,
         handle: std::thread::JoinHandle<std::io::Result<()>>,
     },
     Fleet {
@@ -44,37 +55,52 @@ enum Running {
 
 impl Door {
     fn start(self, tag: &str) -> Running {
+        self.start_with_line_cap(tag, SMALL_MAX_LINE)
+    }
+
+    /// Starts the door; the server door caps request lines at
+    /// `server_max_line` bytes.
+    fn start_with_line_cap(self, tag: &str, server_max_line: usize) -> Running {
         match self {
             Door::Server => {
                 let server = Server::load(&ServerConfig {
                     scenario_dir: Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios"),
                     service_workers: 2,
                     stall_timeout_ms: SERVER_STALL_MS,
+                    max_line_bytes: server_max_line,
                     ..ServerConfig::default()
                 })
                 .expect("committed scenarios load");
                 let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral bind");
                 let addr = listener.local_addr().expect("bound address");
                 let handle = std::thread::spawn(move || server.serve_listener(listener));
-                Running::Server { addr, handle }
-            }
-            Door::Fleet => {
-                let tmp = TempDir::new(&format!("robust-{tag}"));
-                let scenarios = mini_scenarios(tmp.path());
-                let (child, addr) = FleetChild::spawn(&scenarios, tmp.path(), 1, &[]);
-                let running = Running::Fleet {
+                Running::Server {
                     addr,
-                    child,
-                    _tmp: tmp,
-                };
-                running.await_healthy_worker();
-                running
+                    max_line: server_max_line,
+                    handle,
+                }
             }
+            Door::Fleet => Running::fleet(tag, None),
         }
     }
 }
 
 impl Running {
+    /// A real one-worker `tadfa-fleet`, optionally under an open-file
+    /// limit, once its worker is routable.
+    fn fleet(tag: &str, fd_limit: Option<usize>) -> Running {
+        let tmp = TempDir::new(&format!("robust-{tag}"));
+        let scenarios = mini_scenarios(tmp.path());
+        let (child, addr) = FleetChild::spawn(&scenarios, tmp.path(), 1, &[], fd_limit);
+        let running = Running::Fleet {
+            addr,
+            child,
+            _tmp: tmp,
+        };
+        running.await_healthy_worker();
+        running
+    }
+
     fn addr(&self) -> SocketAddr {
         match self {
             Running::Server { addr, .. } | Running::Fleet { addr, .. } => *addr,
@@ -92,7 +118,7 @@ impl Running {
     /// The door's request-line size cap.
     fn max_line(&self) -> usize {
         match self {
-            Running::Server { .. } => ServerConfig::default().max_line_bytes,
+            Running::Server { max_line, .. } => *max_line,
             Running::Fleet { .. } => RouterPolicy::default().max_line_bytes,
         }
     }
@@ -109,6 +135,16 @@ impl Running {
             .lines()
             .find_map(|l| l.strip_prefix("Threads:"))
             .and_then(|n| n.trim().parse().ok())
+    }
+
+    /// How many file descriptors the router process has open.
+    fn router_fds(&self) -> usize {
+        let Running::Fleet { child, .. } = self else {
+            unreachable!("only the fleet door runs in its own process");
+        };
+        std::fs::read_dir(format!("/proc/{}/fd", child.process.id()))
+            .expect("router /proc fd table readable")
+            .count()
     }
 
     /// Routes only reach a worker once a health probe vouches for it.
@@ -241,11 +277,11 @@ fn malformed_json_gets_a_typed_error_and_the_connection_survives(door: Door) {
 }
 
 fn deeply_nested_json_is_refused_not_a_stack_overflow(door: Door) {
-    let running = door.start("nested");
+    let running = door.start_with_line_cap("nested", ServerConfig::default().max_line_bytes);
     let mut conn = Conn::open(running.addr());
 
-    // 20 KB: far below the line cap, far past a reader thread's stack
-    // if the parser recursed without a bound.
+    // 20 KB: far below the default line cap, far past a reader
+    // thread's stack if the parser recursed without a bound.
     conn.send(&"[".repeat(20_000));
     let resp = conn.recv();
     assert!(!resp.ok);
@@ -263,10 +299,14 @@ fn oversized_requests_are_rejected_and_the_socket_closed(door: Door) {
     let running = door.start("oversize");
 
     // A complete line past the cap: a typed rejection, then the
-    // connection is closed.
+    // connection is closed. Under the server door's small cap the
+    // line, newline included, goes out in one write smaller than one
+    // reactor read, so the cap is applied to a line that has already
+    // ended.
     let mut fat = Conn::open(running.addr());
-    fat.send_partial(running.max_line() + 1024);
-    let _ = fat.writer.write_all(b"\n");
+    let mut line = "x".repeat((running.max_line() + 1024).max(8 * 1024));
+    line.push('\n');
+    let _ = fat.writer.write_all(line.as_bytes());
     let resp = fat.recv();
     assert!(!resp.ok);
     assert_eq!(resp.error.as_deref(), Some(kind::REQUEST_TOO_LARGE));
@@ -396,6 +436,97 @@ macro_rules! both_doors {
             })*
         }
     };
+}
+
+/// Connections past the router's open-file limit make its `accept`
+/// fail (EMFILE) until some of them close. The router must ride that
+/// out, not exit and take the fleet down with it.
+#[test]
+fn fleet_router_survives_running_out_of_file_descriptors() {
+    let running = Running::fleet("fds", Some(FLEET_FD_LIMIT));
+
+    // Each adopted connection holds two descriptors, so this many
+    // clients are more than the router can hold.
+    let flood: Vec<TcpStream> = (0..FLEET_FD_LIMIT)
+        .map(|_| TcpStream::connect(running.addr()).expect("connects"))
+        .collect();
+    let started = Instant::now();
+    while running.router_fds() < FLEET_FD_LIMIT - 1 {
+        assert!(
+            started.elapsed() < Duration::from_secs(30),
+            "the router never ran out of descriptors ({} open)",
+            running.router_fds()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    drop(flood);
+
+    // Once the flood's descriptors are free again, a fresh client is
+    // served as if nothing happened.
+    Conn::open(running.addr()).ping(1);
+    running.stop();
+}
+
+/// Kills a fleet's workers if a test panics while it runs the fleet
+/// in-process, so a failing assertion does not leave them running.
+struct WorkerReaper<'a>(&'a Path);
+
+impl Drop for WorkerReaper<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            kill_workers(self.0);
+        }
+    }
+}
+
+/// The router caps request lines at `RouterPolicy::max_line_bytes`,
+/// not at the server's default. `tadfa-fleet` has no flag for the
+/// cap, so this runs a `Router` in-process over a one-worker `Fleet`.
+#[test]
+fn router_caps_lines_at_its_policy_limit() {
+    let tmp = TempDir::new("robust-router-cap");
+    let state_dir = tmp.path().join("state");
+    let fleet = Fleet::launch(FleetConfig {
+        workers: 1,
+        scenario_dir: mini_scenarios(tmp.path()),
+        cache_root: tmp.path().join("cache"),
+        state_dir: state_dir.clone(),
+        serve_bin: PathBuf::from(env!("CARGO_BIN_EXE_tadfa-serve")),
+        ..FleetConfig::default()
+    })
+    .expect("one worker launches");
+    let _reaper = WorkerReaper(&state_dir);
+    let router = Router::new(
+        fleet.state(),
+        RouterPolicy {
+            max_line_bytes: SMALL_MAX_LINE,
+            ..RouterPolicy::default()
+        },
+    );
+    let fleet_threads = fleet.run_background();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral bind");
+    let addr = listener.local_addr().expect("bound address");
+    let serving = std::thread::spawn(move || router.serve(listener));
+
+    // Past the policy's cap, far below the default one, and in one
+    // write smaller than one reactor read.
+    let mut fat = Conn::open(addr);
+    let mut line = "x".repeat(8 * 1024);
+    line.push('\n');
+    fat.writer.write_all(line.as_bytes()).expect("line writes");
+    let resp = fat.recv();
+    assert_eq!(resp.error.as_deref(), Some(kind::REQUEST_TOO_LARGE));
+
+    let mut conn = Conn::open(addr);
+    conn.send(r#"{"id": 1, "op": "shutdown"}"#);
+    assert!(conn.recv().ok, "shutdown acknowledged");
+    serving
+        .join()
+        .expect("router thread exits")
+        .expect("router exits cleanly");
+    for handle in fleet_threads {
+        handle.join().expect("supervisor and health threads exit");
+    }
 }
 
 both_doors!(
