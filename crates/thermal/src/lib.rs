@@ -21,6 +21,8 @@
 //!   metrics (peak, gradient, σ) every experiment reports;
 //! * [`hashing`] — quantized 128-bit hashing of thermal maps and power
 //!   vectors, the key function of the batch engine's solve cache;
+//! * [`exp_neg`] — the platform-independent `e^{−x}` behind every RC
+//!   decay factor (no libm call reaches a fingerprint);
 //! * [`render_ascii`] & friends — Fig. 1-style heat-map rendering.
 //!
 //! Constants and their provenance/calibration live in [`constants`].
@@ -48,6 +50,7 @@
 
 pub mod constants;
 mod error;
+mod exp;
 mod floorplan;
 pub mod hashing;
 mod lanes;
@@ -58,6 +61,7 @@ pub mod solver;
 mod state;
 
 pub use error::ThermalError;
+pub use exp::exp_neg;
 pub use floorplan::{Floorplan, RegisterFile};
 pub use map::{render_ascii, render_ascii_auto, render_numeric, to_csv};
 pub use power::{accumulate_scaled, PowerModel};
