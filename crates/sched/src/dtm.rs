@@ -35,15 +35,17 @@
 //! solver windows in the same order, power accumulated in task-index
 //! order, segment durations computed as `work / speed` so a unit-speed
 //! core yields the task length exactly, and unit scale factors taking
-//! the verbatim-add path of [`tadfa_thermal::accumulate_scaled`]. The
-//! committed golden reports — recorded before this module existed — are
-//! the enforcement of that claim, alongside `tests/dtm_identity.rs`.
+//! the verbatim-add path of [`tadfa_thermal::accumulate_scaled`].
+//! `tests/dtm_identity.rs` enforces that claim. (The goldens no longer
+//! predate this module: they were regenerated once when the exact
+//! modal die solver replaced Euler stepping.)
 
+use crate::modal::ModalDie;
 use crate::multicore::MultiCoreFloorplan;
 use crate::task::{Task, TaskMetrics};
 use std::collections::VecDeque;
 use tadfa_core::TadfaError;
-use tadfa_thermal::{accumulate_scaled, CompiledModel, StepScratch};
+use tadfa_thermal::accumulate_scaled;
 
 /// Declarative DTM configuration — the `[dtm]` section of a scenario
 /// spec.
@@ -452,7 +454,8 @@ pub struct DtmSummary {
 /// after the mapping phase.
 pub(crate) struct SimInput<'a> {
     pub die: &'a MultiCoreFloorplan,
-    pub solver: &'a CompiledModel,
+    /// The die's modal factors, built once per prepared scenario.
+    pub solver: &'a ModalDie,
     pub tasks: &'a [Task],
     pub metrics: &'a [TaskMetrics],
     /// Task indices in arrival order (ties by index) — the queue
@@ -580,8 +583,8 @@ fn start_ready(
 /// The discrete-event closed-loop simulator — the runner's phase 3.
 ///
 /// Events are task starts/finishes, control epochs, and covert sample
-/// times; between consecutive events the die steps one solver window
-/// under the piecewise-constant power of the running tasks. See the
+/// times; between consecutive events the die takes one exact modal
+/// window under the piecewise-constant power of the running tasks. See the
 /// module docs for the bit-parity contract with the open-loop runner.
 pub(crate) fn simulate(input: &SimInput<'_>) -> Result<SimOutput, TadfaError> {
     let die = input.die;
@@ -630,10 +633,9 @@ pub(crate) fn simulate(input: &SimInput<'_>) -> Result<SimOutput, TadfaError> {
         csim[input.assignments[t]].queue.push_back(t);
     }
 
-    let mut state = die.ambient_state();
-    let mut scratch = StepScratch::new();
+    let mut state = input.solver.ambient_state();
     let mut power = vec![0.0f64; die.num_cells()];
-    let mut transient_peak = state.peak();
+    let mut transient_peak = state.temps().peak();
     let mut transient_peak_time = 0.0;
     let mut samples: Vec<f64> = Vec::with_capacity(input.sample_times.len());
     let mut next_sample = 0usize;
@@ -706,10 +708,8 @@ pub(crate) fn simulate(input: &SimInput<'_>) -> Result<SimOutput, TadfaError> {
                     );
                 }
             }
-            input
-                .solver
-                .step_into(&mut state, &power, next - now, &mut scratch);
-            let peak = state.peak();
+            input.solver.step(&mut state, &power, next - now);
+            let peak = state.temps().peak();
             if peak > transient_peak {
                 transient_peak = peak;
                 transient_peak_time = next;
@@ -719,7 +719,11 @@ pub(crate) fn simulate(input: &SimInput<'_>) -> Result<SimOutput, TadfaError> {
 
         // Covert samples due at this instant.
         while next_sample < input.sample_times.len() && input.sample_times[next_sample] <= now {
-            samples.push(state.peak_in(input.sample_core * per, (input.sample_core + 1) * per));
+            samples.push(
+                state
+                    .temps()
+                    .peak_in(input.sample_core * per, (input.sample_core + 1) * per),
+            );
             next_sample += 1;
         }
 
@@ -750,7 +754,7 @@ pub(crate) fn simulate(input: &SimInput<'_>) -> Result<SimOutput, TadfaError> {
                 let epoch_time = epoch_idx as f64 * p;
                 epoch_idx += 1;
                 let core_peak: Vec<f64> = (0..cores_n)
-                    .map(|c| state.peak_in(c * per, (c + 1) * per))
+                    .map(|c| state.temps().peak_in(c * per, (c + 1) * per))
                     .collect();
                 let core_level: Vec<usize> = csim.iter().map(|c| c.level).collect();
                 let core_throttled: Vec<bool> = csim.iter().map(|c| c.throttled).collect();

@@ -6,10 +6,12 @@
 //! over time on a multi-core die — through the existing
 //! `Session`/`Engine` stack and a die-wide coupled thermal model.
 //!
-//! * [`MultiCoreFloorplan`] — N per-core floorplans tiled onto one die,
-//!   inter-core lateral coupling compiled into the existing
-//!   [`CompiledModel`](tadfa_thermal::CompiledModel) CSR kernels (and
-//!   verified bit-identical to the [`naive_coupled_step`] reference);
+//! * [`MultiCoreFloorplan`] — N per-core floorplans tiled onto one die
+//!   with inter-core lateral coupling, solved exactly by [`ModalDie`]
+//!   (its conductance matrix factors into two small tridiagonal
+//!   eigenproblems, so a solver window of any length costs a few small
+//!   matrix products) and checked against the explicit-Euler
+//!   [`naive_coupled_step`] oracle it converges to;
 //! * [`Task`] / [`TaskMetrics`] — IR function + arrival/length, with a
 //!   power profile derived deterministically from its analysis;
 //! * [`MappingPolicy`] — pluggable task→core placement (round-robin,
@@ -55,6 +57,7 @@
 mod covert;
 mod dtm;
 pub mod json;
+mod modal;
 mod multicore;
 mod policy;
 mod report;
@@ -67,6 +70,7 @@ pub use dtm::{
     dtm_policy_from_config, DtmAction, DtmConfig, DtmContext, DtmPolicy, DtmSummary, DvfsLadder,
     HardThrottle, MigrateHottest, NoDtm, DTM_POLICY_INFO, DTM_POLICY_NAMES,
 };
+pub use modal::{ModalDie, ModalState};
 pub use multicore::{naive_coupled_step, CoreClass, MultiCoreFloorplan};
 pub use policy::{
     mapping_policy_by_name, CoolestCoreFirst, MappingContext, MappingPolicy, RoundRobinMapping,

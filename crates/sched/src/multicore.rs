@@ -5,25 +5,21 @@
 //! Hung et al. (PAPERS.md) make the case that *where* work runs on a
 //! die dominates peak temperature; modelling that requires a thermal
 //! network spanning every core, not one register file at a time. A
-//! [`MultiCoreFloorplan`] describes such a die and compiles it into the
-//! existing [`CompiledModel`] machinery: intra-core edges carry the
-//! usual lateral conductance, inter-core edges carry the (typically
-//! weaker) coupling conductance, and the whole graph executes through
-//! the CSR fallback kernel via
-//! [`CompiledModel::from_weighted_graph`].
+//! [`MultiCoreFloorplan`] describes such a die: intra-core edges carry
+//! the usual lateral conductance, inter-core edges carry the (typically
+//! weaker) coupling conductance.
 //!
-//! # Bit-identity contract
-//!
-//! * With **no coupling** (`coupling_resistance: None`), the die's
-//!   adjacency is block-diagonal — per-core sub-slices of a die solve
-//!   are bit-identical to independent single-core solves
-//!   (`tests/multicore_scenarios.rs` asserts this K-core-vs-K-solo
-//!   property).
-//! * With coupling, the compiled plan is bit-identical to the readable
-//!   [`naive_coupled_step`] reference stepper in this module, which
-//!   folds neighbour contributions in the same order.
+//! The scenario runner solves the die exactly with a
+//! [`ModalDie`](crate::ModalDie), whose conductance matrix factors
+//! along the die's grid. With **no coupling** (`coupling_resistance:
+//! None`) that factorisation is block-diagonal, so per-core slices of a
+//! die solve are bit-identical to one-core solves
+//! (`tests/multicore_scenarios.rs` asserts this K-core-vs-K-solo
+//! property). The readable explicit-Euler [`naive_coupled_step`] in
+//! this module is the independent oracle the modal solver converges
+//! to as the Euler sub-step shrinks.
 
-use tadfa_thermal::{CompiledModel, Floorplan, RcParams, ThermalError, ThermalState};
+use tadfa_thermal::{Floorplan, RcParams, ThermalError, ThermalState};
 
 /// A heterogeneous core class, big.LITTLE style: a named power/speed
 /// bin a die tile belongs to.
@@ -31,8 +27,8 @@ use tadfa_thermal::{CompiledModel, Floorplan, RcParams, ThermalError, ThermalSta
 /// Classes scale *what a core does with work*, not the die's thermal
 /// network: a "big" core deposits `power_scale ×` the task's analyzed
 /// power and retires work `speed_scale ×` faster, while the RC grid
-/// (and hence the solver plan, sub-step schedule and bit-identity
-/// contracts) is shared by every tile. A scale of exactly `1.0` is
+/// (and hence the modal factors and the zero-coupling identity) is
+/// shared by every tile. A scale of exactly `1.0` is
 /// guaranteed to leave the corresponding quantity bit-identical to a
 /// class-less die (see [`tadfa_thermal::accumulate_scaled`]).
 #[derive(Clone, Debug, PartialEq)]
@@ -90,8 +86,6 @@ impl CoreClass {
 /// let die = MultiCoreFloorplan::new(4, 8, 8, RcParams::default(), Some(40.0))?;
 /// assert_eq!(die.num_cells(), 256);
 /// assert_eq!(die.core_of(70), 1);
-/// let solver = die.compile();
-/// assert_eq!(solver.num_cells(), 256);
 /// # Ok::<(), tadfa_thermal::ThermalError>(())
 /// ```
 #[derive(Clone, Debug)]
@@ -157,8 +151,7 @@ impl MultiCoreFloorplan {
     /// Assigns one [`CoreClass`] per core (big.LITTLE-style binning).
     ///
     /// Classes only rescale power deposits and execution speed; the
-    /// thermal network (and every compiled-solver bit-identity
-    /// contract) is untouched.
+    /// thermal network is untouched.
     ///
     /// # Errors
     ///
@@ -270,8 +263,8 @@ impl MultiCoreFloorplan {
         global / self.cells_per_core()
     }
 
-    /// The die's weighted adjacency in the compiled plan's fold order:
-    /// per cell, the intra-core neighbours in
+    /// The die's weighted adjacency in [`naive_coupled_step`]'s fold
+    /// order: per cell, the intra-core neighbours in
     /// [`Floorplan::neighbors`] order (up, down, left, right) at the
     /// uniform lateral conductance, then the coupling edge(s) — toward
     /// the lower-indexed core first. Uncoupled dies list no cross-core
@@ -312,8 +305,7 @@ impl MultiCoreFloorplan {
     ///
     /// For an uncoupled die this is computed by the **same expressions**
     /// as [`tadfa_thermal::ThermalModel::max_stable_dt`], so per-core
-    /// sub-step schedules — and therefore transient results — stay
-    /// bit-identical to independent single-core plans. With coupling,
+    /// sub-step schedules match independent single-core models. With coupling,
     /// the bound conservatively adds one coupling conductance per
     /// coupling edge a cell can carry: one for multi-column cores
     /// (only a boundary column faces a neighbour), two for
@@ -329,25 +321,19 @@ impl MultiCoreFloorplan {
         0.5 * self.rc.cell_capacitance / g_max
     }
 
-    /// Compiles the die into a reusable solver plan executing the CSR
-    /// kernel over the weighted adjacency. Build once, share, reuse —
-    /// exactly like a single-core [`CompiledModel`].
-    pub fn compile(&self) -> CompiledModel {
-        CompiledModel::from_weighted_graph(&self.rc, &self.adjacency(), self.max_stable_dt())
-            .expect("validated at construction")
-    }
-
     /// A state with every die cell at ambient.
     pub fn ambient_state(&self) -> ThermalState {
         ThermalState::uniform(self.num_cells(), self.rc.ambient)
     }
 }
 
-/// The readable reference stepper for a coupled die: explicit Euler
-/// with per-call allocation and on-the-fly adjacency, folding each
-/// cell's neighbour contributions in [`MultiCoreFloorplan::adjacency`]
-/// order. The compiled plan is verified **bit-identical** against this
-/// (same sub-step derivation, same FP op order per cell).
+/// The readable reference stepper for a coupled die: explicit Euler at
+/// the stability limit, with per-call allocation and on-the-fly
+/// adjacency, folding each cell's neighbour contributions in
+/// [`MultiCoreFloorplan::adjacency`] order. The exact
+/// [`ModalDie`](crate::ModalDie) is checked against it: as the Euler
+/// sub-step shrinks, this stepper converges to the modal result at
+/// first order.
 ///
 /// # Panics
 ///
@@ -390,17 +376,10 @@ pub fn naive_coupled_step(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tadfa_thermal::{KernelKind, StepScratch};
+    use crate::modal::ModalDie;
 
     fn die(cores: usize, coupling: Option<f64>) -> MultiCoreFloorplan {
         MultiCoreFloorplan::new(cores, 3, 4, RcParams::default(), coupling).unwrap()
-    }
-
-    fn hot_power(n: usize) -> Vec<f64> {
-        let mut p = vec![0.0; n];
-        p[1] = 1e-3;
-        p[n - 2] = 0.6e-3;
-        p
     }
 
     #[test]
@@ -498,26 +477,6 @@ mod tests {
     }
 
     #[test]
-    fn compiled_die_bit_identical_to_naive_coupled_stepper() {
-        for coupling in [None, Some(25.0), Some(200.0)] {
-            let d = die(3, coupling);
-            let solver = d.compile();
-            assert_eq!(solver.kernel(), KernelKind::Csr);
-            let power = hot_power(d.num_cells());
-            let mut fast = d.ambient_state();
-            let mut slow = d.ambient_state();
-            let mut scratch = StepScratch::new();
-            for dt in [2e-6, 1e-4, 3e-3] {
-                solver.step_into(&mut fast, &power, dt, &mut scratch);
-                naive_coupled_step(&d, &mut slow, &power, dt);
-                let f: Vec<u64> = fast.temps().iter().map(|t| t.to_bits()).collect();
-                let s: Vec<u64> = slow.temps().iter().map(|t| t.to_bits()).collect();
-                assert_eq!(f, s, "coupling={coupling:?} dt={dt}");
-            }
-        }
-    }
-
-    #[test]
     fn coupling_spreads_heat_across_cores() {
         // Heat core 0 only; with coupling, core 1 warms above ambient at
         // steady state, and core 0's peak drops below the uncoupled peak.
@@ -526,8 +485,8 @@ mod tests {
         let per = uncoupled.cells_per_core();
         let mut power = vec![0.0; uncoupled.num_cells()];
         power[5] = 2e-3;
-        let ss_un = uncoupled.compile().steady_state(&power);
-        let ss_co = coupled.compile().steady_state(&power);
+        let ss_un = ModalDie::new(&uncoupled).steady_state(&power);
+        let ss_co = ModalDie::new(&coupled).steady_state(&power);
         let amb = RcParams::default().ambient;
         let core1_peak_un = ss_un.temps()[per..]
             .iter()
@@ -561,27 +520,22 @@ mod tests {
             d.max_stable_dt() <= 0.5 * rc.cell_capacitance / g_true + 1e-18,
             "bound must respect the true max nodal conductance"
         );
-        let solver = d.compile();
         let mut power = vec![0.0; d.num_cells()];
         power[5] = 5e-3;
         let mut s = d.ambient_state();
-        let mut scratch = StepScratch::new();
         // A long, heavily sub-stepped transient must neither blow up nor
         // undershoot ambient (both are the signatures of instability).
-        solver.step_into(&mut s, &power, 1.0, &mut scratch);
+        naive_coupled_step(&d, &mut s, &power, 1.0);
         assert!(s.peak().is_finite());
         assert!(s.peak() < 1000.0, "no runaway: {}", s.peak());
         assert!(s.min() >= rc.ambient - 1e-6, "no undershoot: {}", s.min());
-        // And the naive reference agrees bit for bit (shared schedule).
-        let mut naive = d.ambient_state();
-        naive_coupled_step(&d, &mut naive, &power, 1.0);
-        assert_eq!(
-            s.temps().iter().map(|t| t.to_bits()).collect::<Vec<_>>(),
-            naive
-                .temps()
-                .iter()
-                .map(|t| t.to_bits())
-                .collect::<Vec<_>>()
+        // A second, some 300 time constants long: it has settled on the
+        // exact steady state.
+        let steady = ModalDie::new(&d).steady_state(&power);
+        assert!(
+            s.linf_distance(&steady) < 1e-9,
+            "{}",
+            s.linf_distance(&steady)
         );
     }
 

@@ -14,10 +14,12 @@
 //!    the scenario's migration count. This phase is purely sequential
 //!    and reads only phase-1 metrics, so it cannot observe engine
 //!    scheduling.
-//! 3. **Simulate** — the die-wide coupled RC model (compiled once from
-//!    the [`MultiCoreFloorplan`]) steps the piecewise-constant power
-//!    timeline the mapping implies, recording the transient peak, and
-//!    solves the steady state of the time-averaged power.
+//! 3. **Simulate** — the die-wide coupled RC model (factored once from
+//!    the [`MultiCoreFloorplan`] into a [`ModalDie`]) integrates the
+//!    piecewise-constant power timeline the mapping implies exactly,
+//!    one update per window, recording the transient peak, and solves
+//!    the steady state of the time-averaged power from the same
+//!    factors.
 //!
 //! Because every phase is a pure function of the scenario
 //! configuration, [`ScenarioResult::fingerprint`] is byte-identical
@@ -25,7 +27,8 @@
 //! gate enforces.
 
 use crate::covert::{decode, CovertConfig, CovertSummary};
-use crate::dtm::{self, DtmConfig, DtmSummary};
+use crate::dtm::{self, DtmConfig, DtmSummary, SimOutput};
+use crate::modal::ModalDie;
 use crate::multicore::MultiCoreFloorplan;
 use crate::policy::{mapping_policy_by_name, MappingContext};
 use crate::task::{task_metrics, Task, TaskMetrics};
@@ -36,7 +39,6 @@ use tadfa_core::{
 };
 use tadfa_ir::{Function, Module};
 use tadfa_thermal::hashing::Fnv128;
-use tadfa_thermal::{CompiledModel, SteadyStateOptions, ThermalState};
 
 /// A validated, runnable scenario: die, tasks, policies, analysis
 /// configuration.
@@ -165,9 +167,11 @@ pub struct DieSummary {
     pub transient_peak_time: f64,
     /// Steady-state peak under the time-averaged power, K.
     pub steady_peak: f64,
-    /// Whether the steady-state solve converged.
+    /// Whether the steady-state solve converged: always `true`, since
+    /// the modal solve is exact (kept for the report schema).
     pub steady_converged: bool,
-    /// Gauss–Seidel sweeps the steady solve used.
+    /// Iterations the steady solve used: always `0`, since the modal
+    /// solve is direct (kept for the report schema).
     pub steady_sweeps: usize,
     /// When the last task finishes, seconds.
     pub makespan: f64,
@@ -264,7 +268,7 @@ pub use tadfa_core::engine::BatchOptions as RunOverrides;
 
 /// A scenario resolved once and runnable many times: the validated
 /// [`ScenarioConfig`] plus the shared session core, parallel engine
-/// (with its [`SolveCache`](tadfa_core::SolveCache)), compiled die
+/// (with its [`SolveCache`](tadfa_core::SolveCache)), factored die
 /// solver, and cloned task functions — everything `run_scenario` used
 /// to rebuild per call.
 ///
@@ -281,13 +285,21 @@ pub struct PreparedScenario {
     cfg: ScenarioConfig,
     core: Arc<SessionCore>,
     engine: Engine,
-    solver: CompiledModel,
+    solver: ModalDie,
     funcs: Vec<Function>,
+}
+
+/// Phases 1–3 of a run, before the steady solve and the assembly.
+struct Simulated {
+    reports: Vec<ThermalReport>,
+    metrics: Vec<TaskMetrics>,
+    migrations: usize,
+    sim: SimOutput,
 }
 
 impl PreparedScenario {
     /// Validates the configuration and builds the reusable state: the
-    /// session, the engine, and the compiled die-wide solver.
+    /// session, the engine, and the factored die-wide solver.
     ///
     /// # Errors
     ///
@@ -343,7 +355,7 @@ impl PreparedScenario {
             .build()?;
         let engine = Engine::from_session(&session, cfg.workers)?;
         let core = session.shared_core();
-        let solver = cfg.die.compile();
+        let solver = ModalDie::new(&cfg.die);
         let funcs: Vec<Function> = cfg.tasks.iter().map(|t| t.func.clone()).collect();
         Ok(PreparedScenario {
             cfg,
@@ -387,19 +399,8 @@ impl PreparedScenario {
         self.run_with(&RunOverrides::default())
     }
 
-    /// Runs the scenario end to end — analyze (batch-parallel on the
-    /// shared engine), map (sequential), simulate (die-wide transient +
-    /// steady) — honouring per-request overrides; see the crate-level
-    /// docs for the determinism contract.
-    ///
-    /// # Errors
-    ///
-    /// * [`TadfaError::DeadlineExceeded`] if the override deadline
-    ///   passed before every task's analysis was started;
-    /// * any error the per-task analysis pipeline reports (the first
-    ///   failing task aborts the scenario — scenarios are specs, so a
-    ///   failing task is a configuration bug, not data).
-    pub fn run_with(&self, over: &RunOverrides) -> Result<ScenarioResult, TadfaError> {
+    /// Phases 1–3: analyze, map, and simulate the die's transient.
+    fn simulate(&self, over: &RunOverrides) -> Result<Simulated, TadfaError> {
         let cfg = &self.cfg;
 
         // Phase 1: analyze every task on the single-core pipeline. A
@@ -482,18 +483,38 @@ impl PreparedScenario {
             sample_times: &sample_times,
             sample_core: cfg.covert.as_ref().map_or(0, |c| c.receiver_core),
         })?;
+        Ok(Simulated {
+            reports,
+            metrics,
+            migrations,
+            sim,
+        })
+    }
+
+    /// Runs the scenario end to end — analyze (batch-parallel on the
+    /// shared engine), map (sequential), simulate (die-wide transient +
+    /// steady) — honouring per-request overrides; see the crate-level
+    /// docs for the determinism contract.
+    ///
+    /// # Errors
+    ///
+    /// * [`TadfaError::DeadlineExceeded`] if the override deadline
+    ///   passed before every task's analysis was started;
+    /// * any error the per-task analysis pipeline reports (the first
+    ///   failing task aborts the scenario — scenarios are specs, so a
+    ///   failing task is a configuration bug, not data).
+    pub fn run_with(&self, over: &RunOverrides) -> Result<ScenarioResult, TadfaError> {
+        let cfg = &self.cfg;
+        let Simulated {
+            reports,
+            metrics,
+            migrations,
+            sim,
+        } = self.simulate(over)?;
         let assignments = sim.final_core;
-
-        // Steady state of the time-averaged power.
-        let n = cfg.die.num_cells();
-        let mut steady = ThermalState::uniform(n, ambient);
-        let stats = self.solver.steady_state_mode_into(
-            &sim.avg_power,
-            &mut steady,
-            &SteadyStateOptions::default(),
-            cfg.dfa.solver_mode,
-        );
-
+        let cores = cfg.die.cores();
+        let ambient = cfg.die.rc_params().ambient;
+        let steady = self.solver.steady_state(&sim.avg_power);
         let covert = cfg.covert.as_ref().map(|c| decode(c, &sim.samples));
 
         // Assemble.
@@ -517,10 +538,11 @@ impl PreparedScenario {
                 let on_core: Vec<usize> = (0..cfg.tasks.len())
                     .filter(|&i| assignments[i] == core)
                     .collect();
+                // Folded from +0.0: an empty f64 `sum()` is -0.0.
                 CoreSummary {
                     core,
-                    energy: on_core.iter().map(|&i| metrics[i].energy).sum(),
-                    busy: on_core.iter().map(|&i| sim.occupancy[i]).sum(),
+                    energy: on_core.iter().fold(0.0, |s, &i| s + metrics[i].energy),
+                    busy: on_core.iter().fold(0.0, |s, &i| s + sim.occupancy[i]),
                     peak_temperature: on_core
                         .iter()
                         .map(|&i| metrics[i].peak_temperature)
@@ -542,8 +564,8 @@ impl PreparedScenario {
                 transient_peak: sim.transient_peak,
                 transient_peak_time: sim.transient_peak_time,
                 steady_peak: steady.peak(),
-                steady_converged: stats.converged,
-                steady_sweeps: stats.sweeps,
+                steady_converged: true,
+                steady_sweeps: 0,
                 makespan: sim.makespan,
             },
             dtm: sim.dtm,
@@ -784,6 +806,35 @@ mod tests {
         let amb = RcParams::default().ambient;
         assert!((r.die.transient_peak - amb).abs() < 1e-12);
         assert!((r.die.steady_peak - amb).abs() < 1e-6);
+    }
+
+    /// At the steady state of every committed spec's time-averaged
+    /// power, the die sheds through its vertical paths exactly the
+    /// power it takes in, and no cell sits below ambient.
+    #[test]
+    fn committed_specs_balance_energy_at_steady_state() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
+        let specs = crate::spec::load_spec_dir(&dir).unwrap();
+        assert!(specs.len() >= 10, "committed specs: {}", specs.len());
+        for (name, cfg) in specs {
+            let rc = cfg.die.rc_params();
+            let g_v = 1.0 / rc.vertical_resistance;
+            let prepared = PreparedScenario::prepare(cfg).unwrap();
+            let sim = prepared.simulate(&RunOverrides::default()).unwrap().sim;
+            let steady = prepared.solver.steady_state(&sim.avg_power);
+            let p_in: f64 = sim.avg_power.iter().sum();
+            let p_out: f64 = steady.temps().iter().map(|t| g_v * (t - rc.ambient)).sum();
+            assert!(p_in > 0.0, "{name}: no power");
+            assert!(
+                (p_in - p_out).abs() <= 1e-9 * p_in,
+                "{name}: {p_in} W in, {p_out} W out"
+            );
+            assert!(
+                steady.min() >= rc.ambient - 1e-9,
+                "{name}: {}",
+                steady.min()
+            );
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Acceptance tests for the multi-core scenario subsystem:
 //!
 //! * **decomposition** — a K-core die with zero coupling reproduces K
-//!   independent single-core solves bit-for-bit (the block-diagonal
-//!   contract of `MultiCoreFloorplan`);
+//!   independent one-core solves bit-for-bit (the block-diagonal
+//!   contract of the modal die solver);
 //! * **worker invariance** — scenario results (and their rendered JSON
 //!   reports) are byte-identical at any engine worker count;
 //! * **golden stability** — every committed `scenarios/` spec still
@@ -14,83 +14,76 @@
 use std::path::Path;
 use tadfa::prelude::*;
 use tadfa::sched::{
-    load_spec, render_report, run_scenario, suite_tasks, MultiCoreFloorplan, ScenarioConfig,
+    load_spec, render_report, run_scenario, suite_tasks, ModalDie, MultiCoreFloorplan,
+    ScenarioConfig,
 };
 
-/// With no coupling edges, per-core slices of a die transient are
-/// bit-identical to independent single-core solves, for every core
-/// count/shape tried and distinct per-core power patterns.
-#[test]
-fn zero_coupling_die_reproduces_independent_single_cores() {
-    let rc = RcParams::default();
-    for (cores, rows, cols) in [(2, 3, 4), (3, 4, 4), (5, 2, 3)] {
-        let per = rows * cols;
-        let die = MultiCoreFloorplan::new(cores, rows, cols, rc, None).unwrap();
-        let solver = die.compile();
-        let single_model = ThermalModel::new(Floorplan::grid(rows, cols), rc);
-        let single = CompiledModel::with_kernel(&single_model, KernelKind::Csr);
+fn bits(temps: &[f64]) -> Vec<u64> {
+    temps.iter().map(|t| t.to_bits()).collect()
+}
 
-        // A distinct deterministic power pattern per core.
-        let mut die_power = vec![0.0; die.num_cells()];
-        let mut core_powers: Vec<Vec<f64>> = Vec::new();
-        for k in 0..cores {
+/// A distinct deterministic power pattern per core: `(die power, one
+/// vector per core)`.
+fn per_core_power(cores: usize, per: usize) -> (Vec<f64>, Vec<Vec<f64>>) {
+    let core_powers: Vec<Vec<f64>> = (0..cores)
+        .map(|k| {
             let mut p = vec![0.0; per];
             p[k % per] += 1e-3 * (k + 1) as f64;
             p[(3 * k + 1) % per] += 0.4e-3;
-            for (i, &w) in p.iter().enumerate() {
-                die_power[k * per + i] = w;
-            }
-            core_powers.push(p);
-        }
+            p
+        })
+        .collect();
+    (core_powers.concat(), core_powers)
+}
+
+/// With no coupling edges, per-core slices of a die transient are
+/// bit-identical to one-core dies solved through the same modal path,
+/// for every core count/shape tried and distinct per-core power
+/// patterns.
+#[test]
+fn zero_coupling_die_reproduces_independent_single_cores() {
+    let rc = RcParams::default();
+    for (cores, rows, cols) in [(2, 3, 4), (3, 4, 4), (5, 2, 3), (3, 4, 1)] {
+        let per = rows * cols;
+        let die = ModalDie::new(&MultiCoreFloorplan::new(cores, rows, cols, rc, None).unwrap());
+        let single = ModalDie::new(&MultiCoreFloorplan::new(1, rows, cols, rc, None).unwrap());
+        let (die_power, core_powers) = per_core_power(cores, per);
 
         let mut die_state = die.ambient_state();
-        let mut single_states: Vec<ThermalState> =
-            (0..cores).map(|_| single.ambient_state()).collect();
-        let mut die_scratch = StepScratch::new();
-        let mut single_scratch = StepScratch::new();
+        let mut single_states: Vec<_> = (0..cores).map(|_| single.ambient_state()).collect();
         for dt in [2e-6, 1e-4, 3e-3] {
-            solver.step_into(&mut die_state, &die_power, dt, &mut die_scratch);
+            die.step(&mut die_state, &die_power, dt);
             for (k, s) in single_states.iter_mut().enumerate() {
-                single.step_into(s, &core_powers[k], dt, &mut single_scratch);
-            }
-            for (k, s) in single_states.iter().enumerate() {
-                let a: Vec<u64> = die_state.temps()[k * per..(k + 1) * per]
-                    .iter()
-                    .map(|t| t.to_bits())
-                    .collect();
-                let b: Vec<u64> = s.temps().iter().map(|t| t.to_bits()).collect();
-                assert_eq!(a, b, "{cores}x{rows}x{cols} core {k} dt={dt}");
+                single.step(s, &core_powers[k], dt);
+                assert_eq!(
+                    bits(&die_state.temps().temps()[k * per..(k + 1) * per]),
+                    bits(s.temps().temps()),
+                    "{cores}x{rows}x{cols} core {k} dt={dt}"
+                );
             }
         }
     }
 }
 
-/// Steady state decomposes too when every core carries the same load:
-/// the die-wide Gauss–Seidel residual then equals each core's own, so
-/// sweep counts — and therefore every intermediate value — match the
-/// single-core solve exactly.
+/// The steady state decomposes the same way, now for distinct per-core
+/// loads too: the modal solve is direct, so no die-wide iteration count
+/// couples the cores.
 #[test]
 fn zero_coupling_steady_state_matches_replicated_single_core() {
     let rc = RcParams::default();
-    let (cores, rows, cols) = (4, 3, 3);
-    let per = rows * cols;
-    let die = MultiCoreFloorplan::new(cores, rows, cols, rc, None).unwrap();
-    let mut core_power = vec![0.0; per];
-    core_power[1] = 1e-3;
-    core_power[7] = 0.5e-3;
-    let die_power: Vec<f64> = (0..cores).flat_map(|_| core_power.clone()).collect();
-
-    let single_model = ThermalModel::new(Floorplan::grid(rows, cols), rc);
-    let single =
-        CompiledModel::with_kernel(&single_model, KernelKind::Csr).steady_state(&core_power);
-    let die_ss = die.compile().steady_state(&die_power);
-    let want: Vec<u64> = single.temps().iter().map(|t| t.to_bits()).collect();
-    for k in 0..cores {
-        let got: Vec<u64> = die_ss.temps()[k * per..(k + 1) * per]
-            .iter()
-            .map(|t| t.to_bits())
-            .collect();
-        assert_eq!(got, want, "core {k}");
+    for (cores, rows, cols) in [(4, 3, 3), (3, 4, 4), (5, 2, 3)] {
+        let per = rows * cols;
+        let die = ModalDie::new(&MultiCoreFloorplan::new(cores, rows, cols, rc, None).unwrap());
+        let single = ModalDie::new(&MultiCoreFloorplan::new(1, rows, cols, rc, None).unwrap());
+        let (die_power, core_powers) = per_core_power(cores, per);
+        let die_ss = die.steady_state(&die_power);
+        for (k, p) in core_powers.iter().enumerate() {
+            assert_eq!(
+                bits(&die_ss.temps()[k * per..(k + 1) * per]),
+                bits(single.steady_state(p).temps()),
+                "{cores}x{rows}x{cols} core {k}"
+            );
+        }
     }
 }
 
