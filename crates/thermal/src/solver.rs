@@ -58,9 +58,8 @@
 //! assert_eq!(fast.temps(), naive.temps()); // bit-identical
 //! ```
 
-use crate::error::ThermalError;
 use crate::lanes::{LANES, W8};
-use crate::rc::{RcParams, ThermalModel};
+use crate::rc::ThermalModel;
 use crate::state::ThermalState;
 
 /// Numeric contract a solve runs under.
@@ -114,9 +113,8 @@ pub enum KernelKind {
     /// with split interior/boundary loops. The default — every
     /// [`Floorplan`](crate::Floorplan) is a rectangular grid.
     Stencil,
-    /// Generic CSR kernel over the flattened adjacency table. The
-    /// fallback for irregular topologies (and the cross-check in the
-    /// bit-identity tests).
+    /// Generic CSR kernel over the flattened adjacency table: the
+    /// stencil kernel's cross-check in the bit-identity tests.
     Csr,
 }
 
@@ -289,11 +287,6 @@ pub struct CompiledModel {
     /// Per-cell reciprocal of `gs_den` — only the opt-in
     /// [`SolverMode::Fast`] steady sweep reads it.
     gs_rden: Vec<f64>,
-    /// Per-edge conductances parallel to `col_idx` — populated only by
-    /// [`CompiledModel::from_weighted_graph`]. Empty means every edge
-    /// carries the uniform `g_lat` (the grid constructors), and the
-    /// kernels run their historical, bit-identical uniform loops.
-    edge_g: Vec<f64>,
     /// Model-constant lane splats, broadcast once at compile time so
     /// per-step [`LaneCtx`] construction only splats the step- and
     /// leakage-dependent values.
@@ -347,110 +340,8 @@ impl CompiledModel {
             col_idx,
             gs_den,
             gs_rden,
-            edge_g: Vec::new(),
             lanes: ModelLanes::new(g_vert, g_lat, params.ambient, params.cell_capacitance),
         }
-    }
-
-    /// Compiles a solver plan over an **explicit weighted graph**: cell
-    /// `i`'s lateral neighbours are `neighbors[i]`, each `(cell,
-    /// conductance)` pair folded in list order. This is how irregular
-    /// topologies — multi-core dies whose inter-core coupling edges
-    /// carry a different conductance than the intra-core lateral edges —
-    /// reuse the CSR fallback kernel; the plan always executes
-    /// [`KernelKind::Csr`].
-    ///
-    /// The caller owns the stability analysis: `max_stable_dt` must be
-    /// at or below the true explicit-Euler limit `0.5·C / max_i(G_i)`
-    /// of the weighted graph (the constructor checks positivity, not
-    /// tightness). Passing the value derived from the same expressions
-    /// as [`ThermalModel::max_stable_dt`] keeps sub-step schedules —
-    /// and therefore results — bit-identical to per-component plans
-    /// when the graph decomposes into uncoupled grids.
-    ///
-    /// Zero-conductance edges must be **omitted**, not listed with
-    /// weight `0.0`: an absent edge contributes no floating-point
-    /// operation, which is what makes an uncoupled multi-core plan
-    /// bit-identical to independent single-core plans.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ThermalError::InvalidParam`] if `params` fail
-    /// validation, `max_stable_dt` is non-positive/non-finite, a
-    /// neighbour index is out of range, or an edge conductance is
-    /// non-positive/non-finite; [`ThermalError::EmptyFloorplan`] for an
-    /// empty graph.
-    pub fn from_weighted_graph(
-        params: &RcParams,
-        neighbors: &[Vec<(u32, f64)>],
-        max_stable_dt: f64,
-    ) -> Result<CompiledModel, ThermalError> {
-        params.checked()?;
-        let n = neighbors.len();
-        if n == 0 {
-            return Err(ThermalError::EmptyFloorplan { rows: 0, cols: 0 });
-        }
-        assert!(n < u32::MAX as usize, "graph too large for CSR plan");
-        if max_stable_dt <= 0.0 || !max_stable_dt.is_finite() {
-            return Err(ThermalError::InvalidParam {
-                param: "max_stable_dt",
-                value: max_stable_dt,
-                reason: "must be positive and finite",
-            });
-        }
-        let g_vert = 1.0 / params.vertical_resistance;
-        let g_lat = 1.0 / params.lateral_resistance;
-
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut col_idx = Vec::new();
-        let mut edge_g = Vec::new();
-        let mut gs_den = Vec::with_capacity(n);
-        row_ptr.push(0u32);
-        for adj in neighbors {
-            let mut den = g_vert;
-            for &(j, g) in adj {
-                if (j as usize) >= n {
-                    return Err(ThermalError::InvalidParam {
-                        param: "neighbor",
-                        value: j as f64,
-                        reason: "edge endpoint out of range",
-                    });
-                }
-                if g <= 0.0 || !g.is_finite() {
-                    return Err(ThermalError::InvalidParam {
-                        param: "edge_conductance",
-                        value: g,
-                        reason: "must be positive and finite (omit absent edges)",
-                    });
-                }
-                col_idx.push(j);
-                edge_g.push(g);
-                den += g;
-            }
-            row_ptr.push(col_idx.len() as u32);
-            gs_den.push(den);
-        }
-        let gs_rden = gs_den.iter().map(|&d| 1.0 / d).collect();
-
-        Ok(CompiledModel {
-            // The stencil kernel never runs on a weighted plan; the
-            // nominal 1×n shape only satisfies the struct invariants.
-            rows: 1,
-            cols: n,
-            n,
-            g_vert,
-            g_lat,
-            cap: params.cell_capacitance,
-            ambient: params.ambient,
-            max_stable_dt,
-            kernel: KernelKind::Csr,
-            row_ptr,
-            col_idx,
-            gs_den,
-            gs_rden,
-            edge_g,
-            lanes: ModelLanes::new(g_vert, g_lat, params.ambient, params.cell_capacitance),
-        })
     }
 
     /// The kernel this plan executes.
@@ -884,11 +775,8 @@ impl CompiledModel {
             KernelKind::Stencil => {
                 self.substep_stencil::<LEAKY, TRACK, FAST>(t, power, leak, next, prev, h)
             }
-            KernelKind::Csr if self.edge_g.is_empty() => {
-                self.substep_csr::<LEAKY, TRACK, FAST, false>(t, power, leak, next, prev, h)
-            }
             KernelKind::Csr => {
-                self.substep_csr::<LEAKY, TRACK, FAST, true>(t, power, leak, next, prev, h)
+                self.substep_csr::<LEAKY, TRACK, FAST>(t, power, leak, next, prev, h)
             }
         }
     }
@@ -1354,13 +1242,11 @@ impl CompiledModel {
         (acc, scalar_acc)
     }
 
-    /// One explicit-Euler sub-step via the generic CSR adjacency. When
-    /// `WEIGHTED`, each edge carries its own conductance from `edge_g`
-    /// (the weighted-graph plans); otherwise every edge is the uniform
-    /// `g_lat`, byte-for-byte the historical loop. Change tracking
-    /// (`TRACK`) and the fast-mode update fuse exactly as in the
-    /// stencil kernel; returns the tracked L∞ change (0.0 otherwise).
-    fn substep_csr<const LEAKY: bool, const TRACK: bool, const FAST: bool, const WEIGHTED: bool>(
+    /// One explicit-Euler sub-step via the generic CSR adjacency. Change
+    /// tracking (`TRACK`) and the fast-mode update fuse exactly as in
+    /// the stencil kernel; returns the tracked L∞ change (0.0
+    /// otherwise).
+    fn substep_csr<const LEAKY: bool, const TRACK: bool, const FAST: bool>(
         &self,
         t: &[f64],
         power: &[f64],
@@ -1382,14 +1268,8 @@ impl CompiledModel {
             };
             let mut flow = pw - (ti - amb) * g_vert;
             let (s, e) = (self.row_ptr[i] as usize, self.row_ptr[i + 1] as usize);
-            if WEIGHTED {
-                for (&j, &g) in self.col_idx[s..e].iter().zip(&self.edge_g[s..e]) {
-                    flow -= (ti - t[j as usize]) * g;
-                }
-            } else {
-                for &j in &self.col_idx[s..e] {
-                    flow -= (ti - t[j as usize]) * g_lat;
-                }
+            for &j in &self.col_idx[s..e] {
+                flow -= (ti - t[j as usize]) * g_lat;
             }
             let nv = if FAST {
                 ti + flow * hcap
@@ -1520,24 +1400,17 @@ impl CompiledModel {
         delta
     }
 
-    /// One Gauss–Seidel sweep via the generic CSR adjacency (per-edge
-    /// conductances when the plan is weighted). `FAST` multiplies by
-    /// the precomputed reciprocal denominator instead of dividing.
+    /// One Gauss–Seidel sweep via the generic CSR adjacency. `FAST`
+    /// multiplies by the precomputed reciprocal denominator instead of
+    /// dividing.
     fn gs_sweep_csr<const FAST: bool>(&self, t: &mut [f64], power: &[f64]) -> f64 {
         let (g_vert, g_lat, amb) = (self.g_vert, self.g_lat, self.ambient);
-        let weighted = !self.edge_g.is_empty();
         let mut max_delta: f64 = 0.0;
         for i in 0..self.n {
             let mut num = power[i] + amb * g_vert;
             let (s, e) = (self.row_ptr[i] as usize, self.row_ptr[i + 1] as usize);
-            if weighted {
-                for (&j, &g) in self.col_idx[s..e].iter().zip(&self.edge_g[s..e]) {
-                    num += t[j as usize] * g;
-                }
-            } else {
-                for &j in &self.col_idx[s..e] {
-                    num += t[j as usize] * g_lat;
-                }
+            for &j in &self.col_idx[s..e] {
+                num += t[j as usize] * g_lat;
             }
             let new = if FAST {
                 num * self.gs_rden[i]
@@ -1894,105 +1767,5 @@ mod tests {
         let c = m.compile();
         let mut s = c.ambient_state();
         c.step_into(&mut s, &[0.0; 4], 1e-4, &mut StepScratch::new());
-    }
-
-    /// A weighted graph that lists the grid's own adjacency with the
-    /// uniform lateral conductance must reproduce the grid plan bit for
-    /// bit — transient (dense and sparse), leaky, and steady-state.
-    #[test]
-    fn uniform_weighted_graph_matches_grid_plan() {
-        use crate::power::PowerModel;
-        let m = model(3, 4);
-        let n = 12;
-        let g = 1.0 / m.params().lateral_resistance;
-        let neighbors: Vec<Vec<(u32, f64)>> = (0..n)
-            .map(|i| m.floorplan().neighbors(i).map(|j| (j as u32, g)).collect())
-            .collect();
-        let w =
-            CompiledModel::from_weighted_graph(m.params(), &neighbors, m.max_stable_dt()).unwrap();
-        let c = CompiledModel::with_kernel(&m, KernelKind::Csr);
-        assert_eq!(w.kernel(), KernelKind::Csr);
-        assert_eq!(w.max_stable_dt().to_bits(), c.max_stable_dt().to_bits());
-
-        let power = hot_power(n);
-        let lp = PowerModel::default().leakage_params();
-        let bits =
-            |s: &ThermalState| -> Vec<u64> { s.temps().iter().map(|t| t.to_bits()).collect() };
-
-        let mut a = w.ambient_state();
-        let mut b = c.ambient_state();
-        let mut scratch = StepScratch::new();
-        for dt in [2e-6, 3e-3] {
-            w.step_into(&mut a, &power, dt, &mut scratch);
-            c.step_into(&mut b, &power, dt, &mut scratch);
-            assert_eq!(bits(&a), bits(&b), "dense dt={dt}");
-            w.step_leaky_into(&mut a, &power, dt, &lp, &mut scratch);
-            c.step_leaky_into(&mut b, &power, dt, &lp, &mut scratch);
-            assert_eq!(bits(&a), bits(&b), "leaky dt={dt}");
-            let deposits = [(0u32, 1e-3), (5u32, 0.4e-3)];
-            w.step_sparse_into(&mut a, &deposits, &w.schedule(dt), Some(&lp), &mut scratch);
-            c.step_sparse_into(&mut b, &deposits, &c.schedule(dt), Some(&lp), &mut scratch);
-            assert_eq!(bits(&a), bits(&b), "sparse dt={dt}");
-        }
-        assert_eq!(bits(&w.steady_state(&power)), bits(&c.steady_state(&power)));
-    }
-
-    /// A weighted graph with *no* edges decomposes into isolated cells:
-    /// each cell settles at its own isolated rise, untouched by its
-    /// (former) neighbours.
-    #[test]
-    fn edgeless_weighted_graph_is_isolated_cells() {
-        let params = RcParams::default();
-        let neighbors: Vec<Vec<(u32, f64)>> = vec![Vec::new(); 4];
-        let limit = 0.5 * params.cell_capacitance / (1.0 / params.vertical_resistance);
-        let w = CompiledModel::from_weighted_graph(&params, &neighbors, limit).unwrap();
-        let mut power = vec![0.0; 4];
-        power[1] = 1e-3;
-        let ss = w.steady_state(&power);
-        let expect = params.ambient + 1e-3 * params.vertical_resistance;
-        assert!((ss.get(1) - expect).abs() < 1e-6, "{}", ss.get(1));
-        for i in [0, 2, 3] {
-            assert!((ss.get(i) - params.ambient).abs() < 1e-6, "cell {i}");
-        }
-    }
-
-    #[test]
-    fn weighted_graph_rejects_bad_input() {
-        use crate::error::ThermalError;
-        let params = RcParams::default();
-        let ok = vec![vec![(1u32, 10.0)], vec![(0u32, 10.0)]];
-        assert!(CompiledModel::from_weighted_graph(&params, &ok, 1e-6).is_ok());
-        assert!(matches!(
-            CompiledModel::from_weighted_graph(&params, &[], 1e-6),
-            Err(ThermalError::EmptyFloorplan { .. })
-        ));
-        assert!(matches!(
-            CompiledModel::from_weighted_graph(&params, &ok, 0.0),
-            Err(ThermalError::InvalidParam {
-                param: "max_stable_dt",
-                ..
-            })
-        ));
-        let oob = vec![vec![(5u32, 10.0)], Vec::new()];
-        assert!(matches!(
-            CompiledModel::from_weighted_graph(&params, &oob, 1e-6),
-            Err(ThermalError::InvalidParam {
-                param: "neighbor",
-                ..
-            })
-        ));
-        let zero_g = vec![vec![(1u32, 0.0)], Vec::new()];
-        assert!(matches!(
-            CompiledModel::from_weighted_graph(&params, &zero_g, 1e-6),
-            Err(ThermalError::InvalidParam {
-                param: "edge_conductance",
-                ..
-            })
-        ));
-        let bad_rc = RcParams {
-            ambient: -1.0,
-            ..RcParams::default()
-        };
-        assert!(CompiledModel::from_weighted_graph(&bad_rc, &ok, 1e-6).is_err());
     }
 }
