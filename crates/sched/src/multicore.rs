@@ -529,7 +529,7 @@ mod tests {
         assert!(s.peak().is_finite());
         assert!(s.peak() < 1000.0, "no runaway: {}", s.peak());
         assert!(s.min() >= rc.ambient - 1e-6, "no undershoot: {}", s.min());
-        // A second, some 300 time constants long: it has settled on the
+        // After one second the stable transient has settled on the
         // exact steady state.
         let steady = ModalDie::new(&d).steady_state(&power);
         assert!(
