@@ -21,8 +21,9 @@
 //!   metrics (peak, gradient, σ) every experiment reports;
 //! * [`hashing`] — quantized 128-bit hashing of thermal maps and power
 //!   vectors, the key function of the batch engine's solve cache;
-//! * [`exp_neg`] — the platform-independent `e^{−x}` behind every RC
-//!   decay factor (no libm call reaches a fingerprint);
+//! * [`exp_neg`] — the platform-independent `e^{−x}` behind the
+//!   scenario die's RC decay factors (no libm call reaches a
+//!   fingerprint);
 //! * [`render_ascii`] & friends — Fig. 1-style heat-map rendering.
 //!
 //! Constants and their provenance/calibration live in [`constants`].
