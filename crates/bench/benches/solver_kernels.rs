@@ -4,9 +4,9 @@
 //! Three questions, answered every run:
 //!
 //! 1. **Kernel speed** — ns/op of one RC transient step (the thermal
-//!    DFA's innermost operation) through the naive solver, the compiled
-//!    CSR kernel, and the compiled stencil kernel; plus steady-state
-//!    solve times.
+//!    DFA's innermost operation) through the naive solver and the
+//!    compiled stencil kernel; plus steady-state solve times through
+//!    the naive Gauss–Seidel oracle and the exact modal solver.
 //! 2. **End-to-end speed** — cold, single-thread `analyze_batch` over
 //!    the standard suite through the compiled path vs the
 //!    pre-optimization reference path
@@ -33,9 +33,7 @@ use tadfa_bench::quickbench::{black_box, fmt_duration, Harness};
 use tadfa_core::Session;
 use tadfa_ir::Function;
 use tadfa_regalloc::policy_by_name;
-use tadfa_thermal::{
-    CompiledModel, Floorplan, KernelKind, RcParams, SteadyStateOptions, StepScratch, ThermalModel,
-};
+use tadfa_thermal::{CompiledModel, Floorplan, RcParams, StepScratch, ThermalModel};
 use tadfa_workloads::standard_suite;
 
 /// Steps per sample for the kernel micro-benches (one step is tens of
@@ -71,7 +69,6 @@ fn host_cpu_model() -> String {
 fn bench_step_kernels(h: &mut Harness) -> (f64, f64) {
     let model = ThermalModel::new(Floorplan::grid(8, 8), RcParams::default());
     let stencil = CompiledModel::new(&model);
-    let csr = CompiledModel::with_kernel(&model, KernelKind::Csr);
     let mut power = vec![0.0; 64];
     power[27] = 1e-3;
     power[9] = 0.4e-3;
@@ -80,14 +77,6 @@ fn bench_step_kernels(h: &mut Harness) -> (f64, f64) {
         let mut s = model.ambient_state();
         for _ in 0..STEPS_PER_SAMPLE {
             model.step(&mut s, &power, INSTRUCTION_DT);
-        }
-        s.peak()
-    });
-    h.bench_function("step/csr/8x8", || {
-        let mut s = model.ambient_state();
-        let mut scratch = StepScratch::new();
-        for _ in 0..STEPS_PER_SAMPLE {
-            csr.step_into(&mut s, &power, INSTRUCTION_DT, &mut scratch);
         }
         s.peak()
     });
@@ -100,17 +89,15 @@ fn bench_step_kernels(h: &mut Harness) -> (f64, f64) {
         s.peak()
     });
 
-    // Pure solve time: model, power vector, and compiled plan are all
+    // Pure solve time: model, power vector, and modal factors are all
     // built outside the timed closures.
     let big = ThermalModel::new(Floorplan::grid(32, 32), RcParams::default());
     let mut big_power = vec![0.0; 1024];
     big_power[33] = 1e-3;
-    let big_solver = big.compile();
-    let mut big_out = big_solver.ambient_state();
+    let big_solver = big.modal();
     h.bench_function("steady/naive/32x32", || big.steady_state(&big_power).peak());
-    h.bench_function("steady/stencil/32x32", || {
-        big_solver.steady_state_into(&big_power, &mut big_out, &SteadyStateOptions::default());
-        big_out.peak()
+    h.bench_function("steady/modal/32x32", || {
+        big_solver.steady_state(&big_power).peak()
     });
 
     let ns_per =

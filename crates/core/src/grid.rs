@@ -94,12 +94,12 @@ impl AnalysisGrid {
             });
         }
 
-        let analysis_fp = Floorplan::with_cell_size(
+        let analysis_fp = Floorplan::try_with_cell_size(
             rows,
             cols,
             fp.cell_width() * fp.cols() as f64 / cols as f64,
             fp.cell_height() * fp.rows() as f64 / rows as f64,
-        );
+        )?;
 
         // Group ratio: physical cells per analysis point.
         let g = (fp.num_cells() as f64) / (rows * cols) as f64;

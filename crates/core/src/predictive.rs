@@ -24,10 +24,7 @@ use tadfa_ir::{Cfg, DomTree, Function, LoopInfo, PReg, VReg};
 use tadfa_regalloc::{
     allocate_linear_scan, AssignmentPolicy, Chessboard, FirstFree, RegAllocConfig, RoundRobin,
 };
-use tadfa_thermal::{
-    PowerModel, RcParams, RegisterFile, SteadyStateOptions, SteadyStateStats, ThermalModel,
-    ThermalState,
-};
+use tadfa_thermal::{PowerModel, RcParams, RegisterFile, ThermalModel, ThermalState};
 
 /// The assumed future assignment behaviour.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -95,7 +92,8 @@ impl PredictiveConfig {
 /// Output of the predictive analysis.
 #[derive(Clone, Debug)]
 pub struct PredictiveResult {
-    /// Predicted steady-state thermal map over the physical floorplan.
+    /// Predicted steady-state thermal map over the physical floorplan,
+    /// solved exactly through [`ThermalModel::modal`].
     pub expected_map: ThermalState,
     /// Guessed placement per virtual register (`None` = expected to live
     /// in memory or smeared by the uniform prior).
@@ -104,10 +102,6 @@ pub struct PredictiveResult {
     pub ranked: Vec<(VReg, f64)>,
     /// Ambient temperature of the model used.
     pub ambient: f64,
-    /// Diagnostics of the steady-state solve behind
-    /// [`expected_map`](PredictiveResult::expected_map) — sweeps,
-    /// convergence status, final residual.
-    pub steady: SteadyStateStats,
 }
 
 impl PredictiveResult {
@@ -267,12 +261,7 @@ impl<'a> PredictiveDfa<'a> {
         }
 
         let model = ThermalModel::try_new(fp.clone(), self.params)?;
-        // The compiled plan's stencil kernel is bit-identical to
-        // `ThermalModel::steady_state` and records the solve outcome.
-        let solver = model.compile();
-        let mut expected_map = solver.ambient_state();
-        let steady =
-            solver.steady_state_into(&power, &mut expected_map, &SteadyStateOptions::default());
+        let expected_map = model.modal().steady_state(&power);
         let ambient = model.ambient();
 
         // Rank variables by predicted heat exposure: access energy ×
@@ -299,7 +288,6 @@ impl<'a> PredictiveDfa<'a> {
             placement,
             ranked,
             ambient,
-            steady,
         })
     }
 }

@@ -40,12 +40,11 @@
 //! predate this module: they were regenerated once when the exact
 //! modal die solver replaced Euler stepping.)
 
-use crate::modal::ModalDie;
 use crate::multicore::MultiCoreFloorplan;
 use crate::task::{Task, TaskMetrics};
 use std::collections::VecDeque;
 use tadfa_core::TadfaError;
-use tadfa_thermal::accumulate_scaled;
+use tadfa_thermal::{accumulate_scaled, ModalSolver};
 
 /// Declarative DTM configuration — the `[dtm]` section of a scenario
 /// spec.
@@ -455,7 +454,7 @@ pub struct DtmSummary {
 pub(crate) struct SimInput<'a> {
     pub die: &'a MultiCoreFloorplan,
     /// The die's modal factors, built once per prepared scenario.
-    pub solver: &'a ModalDie,
+    pub solver: &'a ModalSolver,
     pub tasks: &'a [Task],
     pub metrics: &'a [TaskMetrics],
     /// Task indices in arrival order (ties by index) — the queue

@@ -7,11 +7,13 @@
 //! `Session`/`Engine` stack and a die-wide coupled thermal model.
 //!
 //! * [`MultiCoreFloorplan`] — N per-core floorplans tiled onto one die
-//!   with inter-core lateral coupling, solved exactly by [`ModalDie`]
-//!   (its conductance matrix factors into two small tridiagonal
-//!   eigenproblems, so a solver window of any length costs a few small
-//!   matrix products) and checked against the explicit-Euler
-//!   [`naive_coupled_step`] oracle it converges to;
+//!   with inter-core lateral coupling. Its
+//!   [`modal`](MultiCoreFloorplan::modal) strip weights hand the die to
+//!   [`tadfa_thermal::ModalSolver`] (the conductance matrix factors into
+//!   two small tridiagonal eigenproblems, so a solver window of any
+//!   length costs a few small matrix products), which is checked here
+//!   against the explicit-Euler [`naive_coupled_step`] oracle it
+//!   converges to;
 //! * [`Task`] / [`TaskMetrics`] — IR function + arrival/length, with a
 //!   power profile derived deterministically from its analysis;
 //! * [`MappingPolicy`] — pluggable task→core placement (round-robin,
@@ -70,7 +72,6 @@ pub use dtm::{
     dtm_policy_from_config, DtmAction, DtmConfig, DtmContext, DtmPolicy, DtmSummary, DvfsLadder,
     HardThrottle, MigrateHottest, NoDtm, DTM_POLICY_INFO, DTM_POLICY_NAMES,
 };
-pub use modal::{ModalDie, ModalState};
 pub use multicore::{naive_coupled_step, CoreClass, MultiCoreFloorplan};
 pub use policy::{
     mapping_policy_by_name, CoolestCoreFirst, MappingContext, MappingPolicy, RoundRobinMapping,

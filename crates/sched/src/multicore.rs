@@ -9,8 +9,9 @@
 //! the usual lateral conductance, inter-core edges carry the (typically
 //! weaker) coupling conductance.
 //!
-//! The scenario runner solves the die exactly with a
-//! [`ModalDie`](crate::ModalDie), whose conductance matrix factors
+//! The scenario runner solves the die exactly with the
+//! [`ModalSolver`](tadfa_thermal::ModalSolver) of
+//! [`MultiCoreFloorplan::modal`], whose conductance matrix factors
 //! along the die's grid. With **no coupling** (`coupling_resistance:
 //! None`) that factorisation is block-diagonal, so per-core slices of a
 //! die solve are bit-identical to one-core solves
@@ -331,7 +332,7 @@ impl MultiCoreFloorplan {
 /// the stability limit, with per-call allocation and on-the-fly
 /// adjacency, folding each cell's neighbour contributions in
 /// [`MultiCoreFloorplan::adjacency`] order. The exact
-/// [`ModalDie`](crate::ModalDie) is checked against it: as the Euler
+/// [`MultiCoreFloorplan::modal`] solver is checked against it: as the Euler
 /// sub-step shrinks, this stepper converges to the modal result at
 /// first order.
 ///
@@ -376,7 +377,6 @@ pub fn naive_coupled_step(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::modal::ModalDie;
 
     fn die(cores: usize, coupling: Option<f64>) -> MultiCoreFloorplan {
         MultiCoreFloorplan::new(cores, 3, 4, RcParams::default(), coupling).unwrap()
@@ -485,8 +485,8 @@ mod tests {
         let per = uncoupled.cells_per_core();
         let mut power = vec![0.0; uncoupled.num_cells()];
         power[5] = 2e-3;
-        let ss_un = ModalDie::new(&uncoupled).steady_state(&power);
-        let ss_co = ModalDie::new(&coupled).steady_state(&power);
+        let ss_un = uncoupled.modal().unwrap().steady_state(&power);
+        let ss_co = coupled.modal().unwrap().steady_state(&power);
         let amb = RcParams::default().ambient;
         let core1_peak_un = ss_un.temps()[per..]
             .iter()
@@ -531,7 +531,7 @@ mod tests {
         assert!(s.min() >= rc.ambient - 1e-6, "no undershoot: {}", s.min());
         // After one second the stable transient has settled on the
         // exact steady state.
-        let steady = ModalDie::new(&d).steady_state(&power);
+        let steady = d.modal().unwrap().steady_state(&power);
         assert!(
             s.linf_distance(&steady) < 1e-9,
             "{}",

@@ -15,7 +15,7 @@
 //!    and reads only phase-1 metrics, so it cannot observe engine
 //!    scheduling.
 //! 3. **Simulate** — the die-wide coupled RC model (factored once from
-//!    the [`MultiCoreFloorplan`] into a [`ModalDie`]) integrates the
+//!    the [`MultiCoreFloorplan`] into a [`ModalSolver`]) integrates the
 //!    piecewise-constant power timeline the mapping implies exactly,
 //!    one update per window, recording the transient peak, and solves
 //!    the steady state of the time-averaged power from the same
@@ -28,7 +28,6 @@
 
 use crate::covert::{decode, CovertConfig, CovertSummary};
 use crate::dtm::{self, DtmConfig, DtmSummary, SimOutput};
-use crate::modal::ModalDie;
 use crate::multicore::MultiCoreFloorplan;
 use crate::policy::{mapping_policy_by_name, MappingContext};
 use crate::task::{task_metrics, Task, TaskMetrics};
@@ -39,6 +38,7 @@ use tadfa_core::{
 };
 use tadfa_ir::{Function, Module};
 use tadfa_thermal::hashing::Fnv128;
+use tadfa_thermal::ModalSolver;
 
 /// A validated, runnable scenario: die, tasks, policies, analysis
 /// configuration.
@@ -285,7 +285,7 @@ pub struct PreparedScenario {
     cfg: ScenarioConfig,
     core: Arc<SessionCore>,
     engine: Engine,
-    solver: ModalDie,
+    solver: ModalSolver,
     funcs: Vec<Function>,
 }
 
@@ -355,7 +355,7 @@ impl PreparedScenario {
             .build()?;
         let engine = Engine::from_session(&session, cfg.workers)?;
         let core = session.shared_core();
-        let solver = ModalDie::new(&cfg.die);
+        let solver = cfg.die.modal()?;
         let funcs: Vec<Function> = cfg.tasks.iter().map(|t| t.func.clone()).collect();
         Ok(PreparedScenario {
             cfg,

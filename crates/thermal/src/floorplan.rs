@@ -89,24 +89,6 @@ impl Floorplan {
         }
     }
 
-    /// Legacy panicking wrapper over [`Floorplan::try_with_cell_size`];
-    /// prefer the error-first form in new code.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a dimension is zero or a size is non-positive.
-    pub fn with_cell_size(
-        rows: usize,
-        cols: usize,
-        cell_width: f64,
-        cell_height: f64,
-    ) -> Floorplan {
-        match Floorplan::try_with_cell_size(rows, cols, cell_width, cell_height) {
-            Ok(fp) => fp,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -393,7 +375,7 @@ mod tests {
 
     #[test]
     fn geometry_accessors() {
-        let fp = Floorplan::with_cell_size(2, 3, 1e-5, 2e-5);
+        let fp = Floorplan::try_with_cell_size(2, 3, 1e-5, 2e-5).unwrap();
         assert_eq!(fp.rows(), 2);
         assert_eq!(fp.cols(), 3);
         assert!((fp.area() - 6.0 * 1e-5 * 2e-5).abs() < 1e-18);

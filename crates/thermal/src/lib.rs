@@ -8,22 +8,26 @@
 //! * [`Floorplan`] / [`RegisterFile`] — the register array geometry and
 //!   the register→cell placement (including the chessboard colouring of
 //!   Fig. 1(c));
-//! * [`ThermalModel`] — a HotSpot-style RC network with an explicit-Euler
-//!   transient solver (auto sub-stepped for stability) and a Gauss–Seidel
-//!   steady-state solver;
-//! * [`solver`] / [`CompiledModel`] — compiled solver plans: flattened
-//!   CSR adjacency + coefficient tables built once per model, executed
-//!   by allocation-free, stencil-specialized kernels that are
-//!   bit-identical to the naive solvers;
+//! * [`ThermalModel`] — a HotSpot-style RC network with readable
+//!   reference solvers: explicit Euler (auto sub-stepped for stability)
+//!   and Gauss–Seidel for the steady state;
+//! * [`solver`] / [`CompiledModel`] — the compiled transient plan the
+//!   thermal DFA steps through: coefficient tables built once per
+//!   model, executed by allocation-free, stencil-specialized kernels
+//!   that are bit-identical to [`ThermalModel::step`];
+//! * [`ModalSolver`] — the exact solver of every grid in the workspace
+//!   (a register file, a coarsened analysis grid, a multi-core die):
+//!   windows of any length and steady states through the factored
+//!   eigenpairs of its conductance matrix, checked against
+//!   [`ThermalModel::steady_state_with`];
 //! * [`PowerModel`] — per-access energies plus temperature-dependent
 //!   leakage (the "technology coefficients" of §4);
 //! * [`ThermalState`] / [`MapStats`] — the dataflow fact and the summary
 //!   metrics (peak, gradient, σ) every experiment reports;
 //! * [`hashing`] — quantized 128-bit hashing of thermal maps and power
 //!   vectors, the key function of the batch engine's solve cache;
-//! * [`exp_neg`] — the platform-independent `e^{−x}` behind the
-//!   scenario die's RC decay factors (no libm call reaches a
-//!   fingerprint);
+//! * [`exp_neg`] — the platform-independent `e^{−x}` behind the modal
+//!   solver's RC decay factors (no libm call reaches a fingerprint);
 //! * [`render_ascii`] & friends — Fig. 1-style heat-map rendering.
 //!
 //! Constants and their provenance/calibration live in [`constants`].
@@ -56,6 +60,7 @@ mod floorplan;
 pub mod hashing;
 mod lanes;
 mod map;
+mod modal;
 mod power;
 mod rc;
 pub mod solver;
@@ -65,10 +70,8 @@ pub use error::ThermalError;
 pub use exp::exp_neg;
 pub use floorplan::{Floorplan, RegisterFile};
 pub use map::{render_ascii, render_ascii_auto, render_numeric, to_csv};
+pub use modal::{ModalSolver, ModalState};
 pub use power::{accumulate_scaled, PowerModel};
-pub use rc::{RcParams, ThermalModel};
-pub use solver::{
-    CompiledModel, KernelKind, LeakageParams, SolverMode, SteadyStateOptions, SteadyStateStats,
-    StepSchedule, StepScratch,
-};
+pub use rc::{RcParams, SteadyStateOptions, SteadyStateStats, ThermalModel};
+pub use solver::{CompiledModel, LeakageParams, SolverMode, StepSchedule, StepScratch};
 pub use state::{MapStats, ThermalState};

@@ -58,7 +58,7 @@ impl PowerModel {
 
     /// This model's leakage coefficients in the compiled solver's
     /// kernel-ready form (see
-    /// [`CompiledModel::step_leaky_into`](crate::solver::CompiledModel::step_leaky_into)).
+    /// [`CompiledModel::step_sparse_into`](crate::solver::CompiledModel::step_sparse_into)).
     pub fn leakage_params(&self) -> crate::solver::LeakageParams {
         crate::solver::LeakageParams {
             per_cell: self.leakage_per_cell,

@@ -7,15 +7,21 @@
 //! C · dT_i/dt = P_i  −  (T_i − T_amb)/R_vert  −  Σ_j (T_i − T_j)/R_lat
 //! ```
 //!
-//! with the sum over 4-connected neighbours. The transient solver is
-//! explicit Euler with automatic sub-stepping below the stability limit;
-//! the steady-state solver is Gauss–Seidel on the (diagonally dominant)
-//! conductance system.
+//! with the sum over 4-connected neighbours. [`ThermalModel`]'s own
+//! solvers are the readable oracles: explicit Euler with automatic
+//! sub-stepping below the stability limit, and Gauss–Seidel on the
+//! (diagonally dominant) conductance system for the steady state.
+//! Production code steps through [`ThermalModel::compile`]
+//! (bit-identical to [`ThermalModel::step`]) and solves windows and
+//! steady states exactly through [`ThermalModel::modal`] (within
+//! 1e-9 K of Gauss–Seidel run to 1e-13 K, asserted by
+//! `crates/thermal/tests/kernel_identity.rs`).
 
 use crate::constants;
 use crate::error::ThermalError;
 use crate::floorplan::Floorplan;
-use crate::solver::{CompiledModel, SteadyStateOptions, SteadyStateStats, StepScratch};
+use crate::modal::ModalSolver;
+use crate::solver::{CompiledModel, StepScratch};
 use crate::state::ThermalState;
 use serde::{Deserialize, Serialize};
 
@@ -69,24 +75,47 @@ impl RcParams {
         Ok(())
     }
 
-    /// Legacy panicking wrapper over [`RcParams::checked`]; prefer the
-    /// error-first form in new code.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any resistance/capacitance is non-positive or the
-    /// ambient temperature is non-positive.
-    pub fn validate(&self) {
-        if let Err(e) = self.checked() {
-            panic!("{e}");
-        }
-    }
-
     /// Lateral decay length λ = √(R_vert / R_lat), in cell units: how far
     /// a hot spot's influence reaches before the vertical path wins.
     pub fn decay_length(&self) -> f64 {
         (self.vertical_resistance / self.lateral_resistance).sqrt()
     }
+}
+
+/// Tolerance and sweep budget of the Gauss–Seidel steady-state solver.
+///
+/// The defaults reproduce the historical hard-coded values (1 µK L∞
+/// update, 100 000 sweeps).
+#[derive(Copy, Clone, PartialEq, Debug)]
+pub struct SteadyStateOptions {
+    /// Stop once no cell's update exceeds this, Kelvin.
+    pub tolerance: f64,
+    /// Give up (reporting non-convergence) after this many sweeps.
+    pub max_sweeps: usize,
+}
+
+impl Default for SteadyStateOptions {
+    fn default() -> SteadyStateOptions {
+        SteadyStateOptions {
+            tolerance: 1e-6,
+            max_sweeps: 100_000,
+        }
+    }
+}
+
+/// How a Gauss–Seidel steady-state solve ended.
+///
+/// Replaces the historical silent behaviour (a `debug_assert!` that
+/// vanished in release builds): iteration count and convergence status
+/// are always recorded and returned.
+#[derive(Copy, Clone, PartialEq, Debug)]
+pub struct SteadyStateStats {
+    /// Sweeps executed.
+    pub sweeps: usize,
+    /// Whether the final sweep's L∞ update beat the tolerance.
+    pub converged: bool,
+    /// The final sweep's L∞ update, Kelvin (∞ if no sweep ran).
+    pub residual: f64,
 }
 
 /// The RC network over a specific floorplan.
@@ -134,11 +163,19 @@ impl ThermalModel {
         }
     }
 
-    /// Compiles this model into a reusable solver plan (CSR adjacency +
-    /// coefficient tables + stencil kernels). See
+    /// Compiles this model into a reusable transient plan (coefficient
+    /// tables + stencil kernels). See
     /// [`CompiledModel`](crate::solver::CompiledModel).
     pub fn compile(&self) -> CompiledModel {
         CompiledModel::new(self)
+    }
+
+    /// Factors this network into its exact [`ModalSolver`]: the
+    /// one-block grid, with `g_lat` at every column boundary.
+    pub fn modal(&self) -> ModalSolver {
+        let (rows, cols) = (self.floorplan.rows(), self.floorplan.cols());
+        let strip = vec![1.0 / self.params.lateral_resistance; cols - 1];
+        ModalSolver::factor(rows, cols, &strip, &self.params)
     }
 
     /// The floorplan.
@@ -243,8 +280,8 @@ impl ThermalModel {
 
     /// Solves the steady state `G·T = P + G_vert·T_amb` by Gauss–Seidel
     /// with the default tolerance and sweep budget (1 µK L∞, 100 000
-    /// sweeps). The naive reference counterpart of
-    /// [`CompiledModel::steady_state`](crate::solver::CompiledModel::steady_state).
+    /// sweeps). The readable oracle of
+    /// [`ModalSolver::steady_state`], which production code uses.
     ///
     /// The conductance matrix is strictly diagonally dominant (every node
     /// has a path to ambient), so the iteration converges for physical
@@ -279,7 +316,11 @@ impl ThermalModel {
         let n = self.num_cells();
 
         let mut t = vec![amb; n];
-        let mut stats = SteadyStateStats::start();
+        let mut stats = SteadyStateStats {
+            sweeps: 0,
+            converged: false,
+            residual: f64::INFINITY,
+        };
         for _ in 0..opts.max_sweeps {
             let mut max_delta: f64 = 0.0;
             for i in 0..n {

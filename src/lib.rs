@@ -83,9 +83,9 @@ pub mod prelude {
     };
     pub use tadfa_sim::{compare_maps, simulate_trace, CosimConfig, Interpreter};
     pub use tadfa_thermal::{
-        render_ascii_auto, CompiledModel, Floorplan, KernelKind, MapStats, PowerModel, RcParams,
-        RegisterFile, SteadyStateOptions, SteadyStateStats, StepScratch, ThermalError,
-        ThermalModel, ThermalState,
+        render_ascii_auto, CompiledModel, Floorplan, MapStats, PowerModel, RcParams, RegisterFile,
+        SteadyStateOptions, SteadyStateStats, StepScratch, ThermalError, ThermalModel,
+        ThermalState,
     };
     pub use tadfa_workloads::standard_suite;
 }

@@ -14,8 +14,7 @@
 use std::path::Path;
 use tadfa::prelude::*;
 use tadfa::sched::{
-    load_spec, render_report, run_scenario, suite_tasks, ModalDie, MultiCoreFloorplan,
-    ScenarioConfig,
+    load_spec, render_report, run_scenario, suite_tasks, MultiCoreFloorplan, ScenarioConfig,
 };
 
 fn bits(temps: &[f64]) -> Vec<u64> {
@@ -45,8 +44,14 @@ fn zero_coupling_die_reproduces_independent_single_cores() {
     let rc = RcParams::default();
     for (cores, rows, cols) in [(2, 3, 4), (3, 4, 4), (5, 2, 3), (3, 4, 1)] {
         let per = rows * cols;
-        let die = ModalDie::new(&MultiCoreFloorplan::new(cores, rows, cols, rc, None).unwrap());
-        let single = ModalDie::new(&MultiCoreFloorplan::new(1, rows, cols, rc, None).unwrap());
+        let die = MultiCoreFloorplan::new(cores, rows, cols, rc, None)
+            .unwrap()
+            .modal()
+            .unwrap();
+        let single = MultiCoreFloorplan::new(1, rows, cols, rc, None)
+            .unwrap()
+            .modal()
+            .unwrap();
         let (die_power, core_powers) = per_core_power(cores, per);
 
         let mut die_state = die.ambient_state();
@@ -73,8 +78,14 @@ fn zero_coupling_steady_state_matches_replicated_single_core() {
     let rc = RcParams::default();
     for (cores, rows, cols) in [(4, 3, 3), (3, 4, 4), (5, 2, 3)] {
         let per = rows * cols;
-        let die = ModalDie::new(&MultiCoreFloorplan::new(cores, rows, cols, rc, None).unwrap());
-        let single = ModalDie::new(&MultiCoreFloorplan::new(1, rows, cols, rc, None).unwrap());
+        let die = MultiCoreFloorplan::new(cores, rows, cols, rc, None)
+            .unwrap()
+            .modal()
+            .unwrap();
+        let single = MultiCoreFloorplan::new(1, rows, cols, rc, None)
+            .unwrap()
+            .modal()
+            .unwrap();
         let (die_power, core_powers) = per_core_power(cores, per);
         let die_ss = die.steady_state(&die_power);
         for (k, p) in core_powers.iter().enumerate() {

@@ -91,15 +91,3 @@ fn parallel_engine_matches_reference_solver() {
     let reference = reference_fingerprints(&session, &funcs);
     assert_eq!(parallel, reference);
 }
-
-#[test]
-fn predictive_steady_state_records_convergence() {
-    // Satellite: the steady-state solve behind the predictive map used
-    // to be silent about convergence; now it is data on the result.
-    let session = Session::builder().floorplan(8, 8).build().unwrap();
-    let w = tadfa::workloads::fibonacci();
-    let pred = session.predict(&w.func).unwrap();
-    assert!(pred.steady.converged);
-    assert!(pred.steady.sweeps > 0);
-    assert!(pred.steady.residual < 1e-6);
-}
