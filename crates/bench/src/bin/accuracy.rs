@@ -8,9 +8,8 @@
 //!
 //! Run: `cargo run -p tadfa-bench --bin accuracy`
 
-use tadfa_bench::{default_session, evaluate_policy, k3, print_table};
+use tadfa_bench::{accuracy_workloads, default_session, evaluate_policy, k3, print_table};
 use tadfa_sim::compare_maps;
-use tadfa_workloads::{generate, standard_suite, GeneratorConfig, Workload};
 
 fn main() {
     let mut session = default_session();
@@ -20,27 +19,7 @@ fn main() {
     println!("policy: first-free; metrics on peak maps over the whole run\n");
 
     let mut rows = Vec::new();
-    let mut workloads: Vec<Workload> = standard_suite();
-    // Add two irregular generated programs — the hard case the paper
-    // expects to predict poorly.
-    for seed in [5u64, 17] {
-        workloads.push(Workload {
-            name: if seed == 5 { "rand-a" } else { "rand-b" },
-            description: "irregular generated program",
-            func: generate(&GeneratorConfig {
-                seed,
-                segments: 8,
-                loops: 3,
-                pressure: 10,
-                ..GeneratorConfig::default()
-            }),
-            args: vec![3, 7],
-            expected: None,
-            preload: vec![],
-        });
-    }
-
-    for w in &workloads {
+    for w in &accuracy_workloads() {
         match evaluate_policy(&mut session, w, "first-free", 42) {
             Ok(eval) => {
                 let acc = compare_maps(&eval.predicted, &eval.measured, &fp);

@@ -18,7 +18,7 @@ use tadfa_ir::Function;
 use tadfa_regalloc::Assignment;
 use tadfa_sim::{simulate_trace, CosimConfig, Interpreter, SimError};
 use tadfa_thermal::{MapStats, ThermalState};
-use tadfa_workloads::Workload;
+use tadfa_workloads::{generate, standard_suite, GeneratorConfig, Workload};
 
 /// A session over the canonical 8×8 (64-register) file used by the
 /// experiments, matching the paper's Fig. 1 panels.
@@ -32,6 +32,32 @@ pub fn default_session() -> Session {
         .floorplan(8, 8)
         .build()
         .expect("default experiment session is valid")
+}
+
+/// The workloads of experiment E4 (prediction accuracy): the standard
+/// suite's kernels plus two irregular generated programs, `rand-a`
+/// (seed 5) and `rand-b` (seed 17) — the hard case the paper expects
+/// to predict poorly. The `accuracy` binary prints their scores and
+/// the tier-1 E4 gate asserts them.
+pub fn accuracy_workloads() -> Vec<Workload> {
+    let mut workloads = standard_suite();
+    for (name, seed) in [("rand-a", 5u64), ("rand-b", 17)] {
+        workloads.push(Workload {
+            name,
+            description: "irregular generated program",
+            func: generate(&GeneratorConfig {
+                seed,
+                segments: 8,
+                loops: 3,
+                pressure: 10,
+                ..GeneratorConfig::default()
+            }),
+            args: vec![3, 7],
+            expected: None,
+            preload: vec![],
+        });
+    }
+    workloads
 }
 
 /// Everything measured for one (workload, policy) pair.

@@ -1,20 +1,33 @@
 //! The thermal-solve memo cache.
 //!
-//! The thermal DFA fixpoint is ~99% of an analysis call (allocation,
-//! criticality ranking and upsampling are comparatively free), and its
-//! result is a pure function of the *power profile* the allocated
-//! function deposits on the analysis grid — which registers each
-//! instruction touches, with what energy, for how long, in what control
-//! flow — together with the grid's RC parameters and the DFA config.
-//! When the same kernel appears repeatedly across a suite (replicated
-//! benchmarks, policy sweeps over a fixed suite, re-analysis in an
-//! optimization loop), every repetition re-runs an identical fixpoint.
+//! On a cold analysis call the thermal DFA fixpoint is ~99% of the
+//! cost (allocation, criticality ranking and upsampling are
+//! comparatively free), and its result is a pure function of the
+//! *power profile* the allocated function deposits on the analysis
+//! grid — which registers each instruction touches, with what energy,
+//! for how long, in what control flow — together with the grid's RC
+//! parameters and the DFA config. When the same kernel appears
+//! repeatedly across a suite (replicated benchmarks, policy sweeps over
+//! a fixed suite, re-analysis in an optimization loop), every
+//! repetition re-runs an identical fixpoint.
 //!
 //! A [`SolveCache`] memoises those solves whole: the key is a 128-bit
 //! quantized hash of the power profile
 //! ([`ThermalDfa::signature`](crate::ThermalDfa::signature), built on
 //! [`tadfa_thermal::hashing`]), the value the complete
 //! [`ThermalDfaResult`].
+//!
+//! A hit skips the fixpoint and nothing else. To find its key the
+//! caller still clones the function, instantiates a policy, runs
+//! linear-scan allocation, builds the CFG and hashes the power profile;
+//! after the fetch it still ranks critical variables and upsamples the
+//! peak map. On a warm hit those steps are the whole cost, allocation
+//! the largest of them; the fetch itself is a small fraction. So
+//! callers that repeat a whole input answer the repeat above the
+//! cache: a `tadfa_sched::PreparedScenario`
+//! keeps its first run's reports and never reaches the cache again,
+//! counting each replayed report through
+//! [`SolveCache::count_report_hits`].
 //!
 //! At the default quantum of `0.0` only bit-identical profiles share a
 //! key, so a cached answer is exactly the answer the solver would
@@ -96,6 +109,9 @@ pub struct SolveCache {
     summary_entries: AtomicUsize,
     hits: AtomicU64,
     misses: AtomicU64,
+    /// Hits answered by a whole-report memo above the cache (counted
+    /// through [`count_report_hits`](SolveCache::count_report_hits)).
+    report_hits: AtomicU64,
     summary_hits: AtomicU64,
     summary_stores: AtomicU64,
     /// Stores turned away because the cache was at capacity.
@@ -205,6 +221,7 @@ impl SolveCache {
             summary_entries: AtomicUsize::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            report_hits: AtomicU64::new(0),
             summary_hits: AtomicU64::new(0),
             summary_stores: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
@@ -271,6 +288,15 @@ impl SolveCache {
                 None
             }
         }
+    }
+
+    /// Counts `n` lookups a memo of whole reports answered before they
+    /// reached the cache: each is one of [`CacheStats::hits`], so the
+    /// hit count of the same traffic does not depend on which layer
+    /// answered it, and one of [`CacheStats::report_hits`].
+    pub fn count_report_hits(&self, n: u64) {
+        self.hits.fetch_add(n, Ordering::Relaxed);
+        self.report_hits.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Stores one fixpoint result. Once the cache is at capacity the
@@ -432,6 +458,7 @@ impl SolveCache {
         self.summary_entries.store(0, Ordering::Relaxed);
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
+        self.report_hits.store(0, Ordering::Relaxed);
         self.summary_hits.store(0, Ordering::Relaxed);
         self.summary_stores.store(0, Ordering::Relaxed);
         self.rejected.store(0, Ordering::Relaxed);
@@ -446,6 +473,7 @@ impl SolveCache {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
+            report_hits: self.report_hits.load(Ordering::Relaxed),
             entries: self.len(),
             rejected_stores: self.rejected.load(Ordering::Relaxed),
             summary_hits: self.summary_hits.load(Ordering::Relaxed),
@@ -462,6 +490,11 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that fell through to the solver.
     pub misses: u64,
+    /// Hits answered by a memo of whole reports before reaching the
+    /// cache (a prepared scenario's repeat run; see
+    /// [`SolveCache::count_report_hits`]). Each is also one of
+    /// [`hits`](CacheStats::hits).
+    pub report_hits: u64,
     /// Entries resident.
     pub entries: usize,
     /// New-key stores turned away because the cache was at capacity —
@@ -597,6 +630,7 @@ mod tests {
             CacheStats {
                 hits: 0,
                 misses: 0,
+                report_hits: 0,
                 entries: 0,
                 rejected_stores: 0,
                 summary_hits: 0,

@@ -21,7 +21,7 @@
 //! * [`service`] — the [`Server`]: environment loading, the worker
 //!   pool, per-request worker-count and deadline overrides, and the
 //!   `stats` counters (including the solve cache's
-//!   `rejected_stores`);
+//!   `rejected_stores` and `report_hits`);
 //! * `reactor` (private) — the one connection layer both front doors
 //!   serve through ([`Server::serve_listener`], [`Router::serve`]): the
 //!   acceptor, reactor shards, line cap, stall reaping and [`Sink`]s;

@@ -7,7 +7,8 @@
 //! then serves `run-scenario` / `analyze` / `stats` requests against
 //! that shared state for its whole lifetime. This is the cache-warm,
 //! long-lived worker shape: request N+1 reuses every fixpoint request
-//! N solved.
+//! N solved, and a repeated `run-scenario` replays its scenario's
+//! memoised analysis phase (counted in `stats` as `report_hits`).
 //!
 //! # Request flow
 //!
@@ -65,7 +66,8 @@
 //! environment map; requests already admitted keep the environment
 //! they resolve at execution time, so nothing in flight is dropped.
 //! The fresh environment re-preloads from disk, so a reload keeps the
-//! cache warm too.
+//! cache warm too; its analysis memos start empty, and each scenario's
+//! first run refills its memo from that cache.
 //!
 //! # Determinism contract
 //!
@@ -585,7 +587,8 @@ impl Server {
     /// persistence counters (sorted by stem), queue admission
     /// counters, the latency histogram, and served totals. The
     /// `rejected_stores` field is the capacity-overflow signal the
-    /// solve cache counts instead of dropping silently; `preloaded`
+    /// solve cache counts instead of dropping silently; `report_hits`
+    /// counts the `hits` a prepared scenario's memo answered; `preloaded`
     /// and the `persist` block are the disk tier's health, `shed` the
     /// SLO policy's.
     fn stats_response(&self, id: u64) -> String {
@@ -599,9 +602,9 @@ impl Server {
             scenarios.push_str(&format!(
                 "{{\"name\": {}, \"solver_mode\": {}, \"runs\": {}, \"analyzes\": {}, \
                  \"module_analyzes\": {}, \
-                 \"cache\": {{\"hits\": {}, \"misses\": {}, \"entries\": {}, \
-                 \"rejected_stores\": {}, \"summary_hits\": {}, \"summary_stores\": {}, \
-                 \"preloaded\": {}}}",
+                 \"cache\": {{\"hits\": {}, \"misses\": {}, \"report_hits\": {}, \
+                 \"entries\": {}, \"rejected_stores\": {}, \"summary_hits\": {}, \
+                 \"summary_stores\": {}, \"preloaded\": {}}}",
                 escape(stem),
                 escape(env.prepared.config().dfa.solver_mode.as_str()),
                 env.runs.load(Ordering::Relaxed),
@@ -609,6 +612,7 @@ impl Server {
                 env.module_analyzes.load(Ordering::Relaxed),
                 c.hits,
                 c.misses,
+                c.report_hits,
                 c.entries,
                 c.rejected_stores,
                 c.summary_hits,

@@ -149,6 +149,16 @@ fn warm_concurrent_service_matches_offline_goldens() {
         })
         .sum();
     assert!(total_hits > 0.0, "warm rounds hit the solve cache");
+    let report_hits: f64 = scenarios
+        .iter()
+        .map(|s| {
+            s.get("cache")
+                .and_then(|c| c.get("report_hits"))
+                .and_then(|v| v.as_f64())
+                .unwrap_or(0.0)
+        })
+        .sum();
+    assert!(report_hits > 0.0, "warm rounds replay the analysis memo");
 }
 
 #[test]

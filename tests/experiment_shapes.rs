@@ -122,6 +122,62 @@ fn e3_delta_controls_iterations() {
     assert!(!capped.convergence().is_converged());
 }
 
+/// E4 / §1, the paper's central claim: on every kernel of the
+/// `accuracy` binary (first-free, seed 42, the default session) the
+/// DFA's predicted peak map tracks the trace-driven co-simulated one.
+/// RMS, L∞ and |peak error| may each exceed their recorded value by at
+/// most max(20%, 0.05 K), Pearson may fall by at most 0.02, and the
+/// predicted hot spot may move at most one cell farther away.
+#[test]
+fn e4_prediction_tracks_cosimulation() {
+    // workload, rms (K), linf (K), pearson, peak error (K), hot-spot distance
+    const RECORDED: [(&str, f64, f64, f64, f64, usize); 13] = [
+        ("matmul", 1.134, 4.554, 0.878, 1.647, 3),
+        ("fir", 1.119, 4.317, 0.933, 3.089, 0),
+        ("dot", 0.933, 3.872, 0.961, 3.872, 0),
+        ("fib", 0.996, 4.363, 0.969, 4.363, 0),
+        ("checksum", 1.155, 4.694, 0.965, 4.694, 0),
+        ("bsort", 0.995, 4.706, 0.901, 1.683, 0),
+        ("stencil", 1.037, 3.648, 0.960, 3.648, 0),
+        ("saxpy", 1.008, 4.435, 0.965, 4.435, 0),
+        ("hist", 0.970, 4.030, 0.979, 3.767, 1),
+        ("butterfly", 0.003, 0.010, 0.999, -0.002, 1),
+        ("popcount", 0.897, 3.682, 0.979, 3.682, 0),
+        ("rand-a", 1.106, 4.056, 0.991, 3.816, 0),
+        ("rand-b", 1.129, 3.733, 0.990, 3.733, 0),
+    ];
+    let within = |got: f64, recorded: f64| got <= recorded + (0.2 * recorded).max(0.05);
+
+    let mut session = tadfa_bench::default_session();
+    let fp = session.register_file().floorplan().clone();
+    let workloads = tadfa_bench::accuracy_workloads();
+    assert_eq!(workloads.len(), RECORDED.len());
+    for (w, &(name, rms, linf, pearson, peak_error, hotspot)) in workloads.iter().zip(&RECORDED) {
+        assert_eq!(w.name, name);
+        let eval = tadfa_bench::evaluate_policy(&mut session, w, "first-free", 42)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(eval.dfa.convergence.is_converged(), "{name} converges");
+        let acc = compare_maps(&eval.predicted, &eval.measured, &fp);
+        assert!(within(acc.rms, rms), "{name}: rms {:.3} K", acc.rms);
+        assert!(within(acc.linf, linf), "{name}: linf {:.3} K", acc.linf);
+        assert!(
+            within(acc.peak_error.abs(), peak_error.abs()),
+            "{name}: peak error {:.3} K",
+            acc.peak_error
+        );
+        assert!(
+            acc.pearson >= pearson - 0.02,
+            "{name}: pearson {:.3}",
+            acc.pearson
+        );
+        assert!(
+            acc.hotspot_distance <= hotspot + 1,
+            "{name}: hot spot {} cells away",
+            acc.hotspot_distance
+        );
+    }
+}
+
 /// E5 / §3: finer analysis grids predict strictly better (RMS against
 /// ground truth shrinks as points increase).
 ///
