@@ -291,9 +291,13 @@ impl SolveCache {
     }
 
     /// Counts `n` lookups a memo of whole reports answered before they
-    /// reached the cache: each is one of [`CacheStats::hits`], so the
-    /// hit count of the same traffic does not depend on which layer
-    /// answered it, and one of [`CacheStats::report_hits`].
+    /// reached the cache: each is one of [`CacheStats::hits`] and one
+    /// of [`CacheStats::report_hits`]. While the cache is below
+    /// capacity, the hit count of the same traffic therefore does not
+    /// depend on which layer answered it. A memo counts a hit even for
+    /// a lookup whose fixpoint this cache turned away at capacity,
+    /// where a re-analysis would have counted a miss and one more
+    /// [`CacheStats::rejected_stores`].
     pub fn count_report_hits(&self, n: u64) {
         self.hits.fetch_add(n, Ordering::Relaxed);
         self.report_hits.fetch_add(n, Ordering::Relaxed);

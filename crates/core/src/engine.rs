@@ -9,10 +9,8 @@
 //! # Threading model
 //!
 //! An engine wraps a validated [`SessionCore`] in an [`Arc`] and, per
-//! batch call, spawns `min(workers, items)` scoped threads over a
-//! shared atomic work index. When that minimum is 1 — every one-function
-//! batch, such as a service's `analyze` request — the same claim loop
-//! runs on the calling thread and nothing is spawned:
+//! batch call, spawns `workers` scoped threads over a shared atomic
+//! work index:
 //!
 //! * **Shared, read-only:** the core (register file, analysis grid with
 //!   its RC model *and* its compiled solver plan — one
@@ -472,8 +470,7 @@ impl Engine {
     /// per-slot result cells so output order equals input order. A
     /// passed deadline turns every not-yet-claimed task into
     /// [`TadfaError::DeadlineExceeded`] (checked per claim, so the
-    /// remainder drains in microseconds). A pool of one runs the same
-    /// claim loop on the calling thread instead of spawning it.
+    /// remainder drains in microseconds).
     fn execute(
         &self,
         tasks: &[Task<'_>],
@@ -488,49 +485,44 @@ impl Engine {
         let slots: Vec<Mutex<Option<Result<ThermalReport, TadfaError>>>> =
             (0..n).map(|_| Mutex::new(None)).collect();
 
-        let claim_loop = || {
-            let mut scratch = DfaScratch::default();
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                if opts.expired() {
-                    *slots[i].lock().expect("result slot poisoned") =
-                        Some(Err(TadfaError::DeadlineExceeded));
-                    continue;
-                }
-                let task = &tasks[i];
-                let result = task
-                    .factory
-                    .instantiate(task.core.register_file())
-                    .and_then(|mut policy| match task.summaries {
-                        Some(summaries) => task.core.analyze_with_summaries(
-                            task.func,
-                            summaries,
-                            policy.as_mut(),
-                            &mut scratch,
-                            Some(&self.cache),
-                        ),
-                        None => task.core.analyze_with(
-                            task.func,
-                            policy.as_mut(),
-                            &mut scratch,
-                            Some(&self.cache),
-                        ),
-                    });
-                *slots[i].lock().expect("result slot poisoned") = Some(result);
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| {
+                    let mut scratch = DfaScratch::default();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        if opts.expired() {
+                            *slots[i].lock().expect("result slot poisoned") =
+                                Some(Err(TadfaError::DeadlineExceeded));
+                            continue;
+                        }
+                        let task = &tasks[i];
+                        let result = task
+                            .factory
+                            .instantiate(task.core.register_file())
+                            .and_then(|mut policy| match task.summaries {
+                                Some(summaries) => task.core.analyze_with_summaries(
+                                    task.func,
+                                    summaries,
+                                    policy.as_mut(),
+                                    &mut scratch,
+                                    Some(&self.cache),
+                                ),
+                                None => task.core.analyze_with(
+                                    task.func,
+                                    policy.as_mut(),
+                                    &mut scratch,
+                                    Some(&self.cache),
+                                ),
+                            });
+                        *slots[i].lock().expect("result slot poisoned") = Some(result);
+                    }
+                });
             }
-        };
-        if workers == 1 {
-            claim_loop();
-        } else {
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(claim_loop);
-                }
-            });
-        }
+        });
 
         slots
             .into_iter()
@@ -627,17 +619,14 @@ mod tests {
         let s = session();
         let engine = Engine::from_session(&s, 2).unwrap();
         let funcs: Vec<Function> = (2..6).map(kernel).collect();
-        // The pool and the one-worker inline loop abandon alike.
-        for workers in [None, Some(1)] {
-            let opts = BatchOptions {
-                workers,
-                deadline: Some(Instant::now() - std::time::Duration::from_millis(1)),
-            };
-            let results = engine.analyze_batch_parallel_opts(&funcs, &opts);
-            assert_eq!(results.len(), funcs.len());
-            for r in results {
-                assert!(matches!(r, Err(TadfaError::DeadlineExceeded)));
-            }
+        let opts = BatchOptions {
+            workers: None,
+            deadline: Some(Instant::now() - std::time::Duration::from_millis(1)),
+        };
+        let results = engine.analyze_batch_parallel_opts(&funcs, &opts);
+        assert_eq!(results.len(), funcs.len());
+        for r in results {
+            assert!(matches!(r, Err(TadfaError::DeadlineExceeded)));
         }
         // A generous deadline changes nothing.
         let opts = BatchOptions {

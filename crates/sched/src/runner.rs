@@ -26,7 +26,7 @@
 //! across runs and worker counts — the property the CI golden-report
 //! gate enforces.
 //!
-//! A [`PreparedScenario`] runs phase 1 once: the first run that
+//! A [`PreparedScenario`] runs phase 1 once: the first analysis that
 //! succeeds stores its reports and metrics in a write-once memo that
 //! lives as long as the prepared scenario, and every later run replays
 //! them, so a warm run spends its time in phases 2 and 3. A replay
@@ -68,7 +68,8 @@ pub struct ScenarioConfig {
     /// Thermal-DFA configuration for the per-task analysis.
     pub dfa: ThermalDfaConfig,
     /// Engine worker threads for the analysis phase. Has no effect on
-    /// any reported value — only on wall-clock time.
+    /// any reported value — only on wall-clock time, and a
+    /// [`PreparedScenario`] only analyses until its memo is filled.
     pub workers: usize,
     /// When set, the tasks are the functions of this module (one task
     /// per function, in module order) and the analysis phase runs
@@ -269,8 +270,10 @@ impl ScenarioResult {
 /// Request-scoped overrides for one [`PreparedScenario::run_with`]
 /// call — the per-request knobs a long-lived service forwards without
 /// rebuilding the scenario's engine: a worker count for this run only
-/// and a deadline past which the run aborts cleanly with
-/// [`TadfaError::DeadlineExceeded`]. Neither can change a computed
+/// (used only by a run that analyses, i.e. before the prepared
+/// scenario's memo is filled) and a deadline past which the run aborts
+/// cleanly with [`TadfaError::DeadlineExceeded`]. Neither can change a
+/// computed
 /// result; this is the engine's
 /// [`BatchOptions`](tadfa_core::engine::BatchOptions) under the
 /// runner's vocabulary (same type, no translation layer).
@@ -284,22 +287,31 @@ pub use tadfa_core::engine::BatchOptions as RunOverrides;
 ///
 /// This is the unit a persistent service holds per scenario. The
 /// analysis phase depends only on state `prepare` freezes, so the first
-/// run that succeeds stores its per-task reports and metrics, and every
-/// later run replays them: no allocation, signature, cache fetch,
-/// ranking or thread spawn. Mapping, the die transient, the steady
-/// state, covert decoding and assembly still run on every request.
+/// analysis that succeeds stores its per-task reports and metrics (even
+/// when that run then fails in a later phase), and every later run
+/// replays them: no allocation, signature, cache fetch, ranking or
+/// thread spawn. Mapping, the die transient, the steady state, covert
+/// decoding and assembly still run on every request.
 ///
 /// * **Lifetime.** The memo lives as long as the prepared scenario.
 ///   A service `reload` prepares a fresh one, so it starts empty;
 ///   after a restart, the first run refills it through the solve
-///   cache the persistence tier preloaded.
+///   cache the persistence tier preloaded. Clearing the engine's
+///   solve cache ([`Engine::clear_cache`]) does not clear it, so a
+///   cold-start measurement needs a freshly prepared scenario.
+/// * **Workers.** Only a run that analyses uses a worker count: once
+///   the memo is filled, neither [`ScenarioConfig::workers`] nor a
+///   run's [`RunOverrides`] `workers` changes anything about a run.
 /// * **Counters.** A replay counts one solve-cache
 ///   [`hits`](CacheStats::hits) and one
-///   [`report_hits`](CacheStats::report_hits) per task, so the hit
-///   count of repeated traffic is what the cache itself would have
-///   counted. `misses`, `entries` and the store counters do not move;
-///   `summary_hits` does not either, because a replayed module
-///   scenario looks no summary up.
+///   [`report_hits`](CacheStats::report_hits) per task. While the
+///   solve cache is below capacity, that is the hit count the cache
+///   itself would have counted for the same traffic. A replay counts a
+///   hit even for a task whose fixpoint the full cache turned away,
+///   where a re-analysis would have counted a miss and one more
+///   `rejected_stores`. `misses`, `entries` and the store counters do
+///   not move; `summary_hits` does not either, because a replayed
+///   module scenario looks no summary up.
 /// * **Deadlines.** A replay fails with
 ///   [`TadfaError::DeadlineExceeded`], moving no counter, exactly when
 ///   the engine would: the deadline has passed and there is at least
@@ -412,7 +424,8 @@ impl PreparedScenario {
     }
 
     /// The shared analysis engine (and through it, the solve cache a
-    /// service surfaces in its `stats` responses).
+    /// service surfaces in its `stats` responses). The analysis memo
+    /// sits above it: clearing its cache leaves the memo filled.
     pub fn engine(&self) -> &Engine {
         &self.engine
     }
@@ -439,9 +452,9 @@ impl PreparedScenario {
         self.run_with(&RunOverrides::default())
     }
 
-    /// Phase 1: the memoised analysis, or the analysis itself on the
-    /// first run that succeeds (see the type docs for the counters and
-    /// the deadline rule a replay follows).
+    /// Phase 1: the memoised analysis, or the analysis itself until
+    /// one succeeds (see the type docs for the counters and the
+    /// deadline rule a replay follows).
     fn analyze(&self, over: &RunOverrides) -> Result<&Analysis, TadfaError> {
         if let Some(memo) = self.analysis.get() {
             let tasks = memo.reports.len();
@@ -550,9 +563,11 @@ impl PreparedScenario {
 
     /// Runs the scenario end to end — analyze (batch-parallel on the
     /// shared engine, or replayed from the memo after the first
-    /// success), map (sequential), simulate (die-wide transient +
-    /// steady) — honouring per-request overrides; see the crate-level
-    /// docs for the determinism contract.
+    /// analysis that succeeds), map (sequential), simulate (die-wide
+    /// transient + steady) — honouring per-request overrides; see the
+    /// crate-level docs for the determinism contract. The deadline
+    /// applies to every run; `over.workers` only to a run that
+    /// analyses.
     ///
     /// # Errors
     ///

@@ -22,7 +22,11 @@
 //!
 //! `id` is a non-negative integer chosen by the client; `workers` and
 //! `deadline_ms` are the per-request overrides forwarded to the
-//! engine ([`RunOverrides`](tadfa_sched::RunOverrides)). Unknown ops
+//! engine ([`RunOverrides`](tadfa_sched::RunOverrides)). On
+//! `run-scenario`, `workers` only affects a cold run: once the
+//! scenario's analysis memo is filled, its runs replay the memo and
+//! use no engine workers (see
+//! [`PreparedScenario`](tadfa_sched::PreparedScenario)). Unknown ops
 //! and unknown keys are rejected — a typo cannot silently run a
 //! different request than intended, mirroring the scenario-spec
 //! reader's philosophy.

@@ -113,6 +113,8 @@ pub struct ServerConfig {
     pub service_workers: usize,
     /// Override every scenario's configured engine worker count (the
     /// deployment knob; per-request `workers` still wins per call).
+    /// `run-scenario` uses it only until the scenario's analysis memo
+    /// is filled; `analyze` and `analyze-module` always do.
     pub engine_workers: Option<usize>,
     /// Root of the persistent solve-cache tier; each scenario gets a
     /// segment directory under it. `None` keeps the cache
