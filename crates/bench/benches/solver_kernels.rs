@@ -1,5 +1,5 @@
-//! The solver quickbench: compiled kernels vs the retained naive
-//! reference, kernel-level and end-to-end.
+//! The solver quickbench: compiled kernels vs the naive oracle,
+//! kernel-level and end-to-end.
 //!
 //! Three questions, answered every run:
 //!
@@ -8,9 +8,11 @@
 //!    compiled stencil kernel; plus steady-state solve times through
 //!    the naive Gauss–Seidel oracle and the exact modal solver.
 //! 2. **End-to-end speed** — cold, single-thread `analyze_batch` over
-//!    the standard suite through the compiled path vs the
-//!    pre-optimization reference path
-//!    (`SessionCore::analyze_with_reference_solver`). Two bars: the
+//!    the standard suite through the production fixpoint (compiled
+//!    kernels, clean blocks skipped) vs the same sweep driven by the
+//!    naive oracle stepper, which walks every block
+//!    (`SessionCore::analyze_with_reference_solver`; the "reference"
+//!    entries time it). Two bars: the
 //!    interleaved-pair speedup must stay ≥ 5× (PR 3's 3× bar,
 //!    tightened once the fused explicit-SIMD kernels landed), and
 //!    absolute throughput must stay ≥ 2× the pre-SIMD committed

@@ -48,6 +48,10 @@ pub enum CodecError {
     /// Bytes remained after the value decoded — the record frame and
     /// the payload disagree about its size.
     TrailingBytes(usize),
+    /// A field with a single valid encoding held other bits (a
+    /// converged result's residual slot is always `0.0`), so the
+    /// value would not re-encode to the bytes it came from.
+    NonCanonical(u64),
 }
 
 impl fmt::Display for CodecError {
@@ -65,6 +69,7 @@ impl fmt::Display for CodecError {
             CodecError::TrailingBytes(n) => {
                 write!(f, "{n} trailing byte(s) after a complete record")
             }
+            CodecError::NonCanonical(bits) => write!(f, "non-canonical field bits {bits:#018x}"),
         }
     }
 }

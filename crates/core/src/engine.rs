@@ -18,8 +18,9 @@
 //!   stepped by every worker) and the [`SolveCache`].
 //! * **Per worker:** one freshly instantiated assignment policy per
 //!   item (from the engine's [`PolicyFactory`]) and one reusable
-//!   [`DfaScratch`] buffer set — the fixpoint's power map (reset in
-//!   O(accesses) per instruction) and the solver's step scratch.
+//!   [`DfaScratch`] buffer set — the plan's access list and the
+//!   solver's step scratch, whose sparse power buffer is reset in
+//!   O(accesses) per instruction.
 //! * **Per item:** an independent `Result` slot — a function that fails
 //!   allocation produces its own `Err` without disturbing the rest of
 //!   the batch, and results are returned in input order regardless of

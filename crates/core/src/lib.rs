@@ -65,7 +65,7 @@ mod summary;
 pub use cache::{CacheStats, SolveCache, SpillEntry, SpillValue};
 pub use config::{Convergence, MergeRule, ThermalDfaConfig};
 pub use critical::{CriticalConfig, CriticalSet};
-pub use dfa::{DfaScratch, ThermalDfa, ThermalDfaResult};
+pub use dfa::{BlockVisits, DfaScratch, ThermalDfa, ThermalDfaResult};
 pub use engine::{BatchOptions, Engine, PolicyFactory, SweepCell, SweepConfig};
 pub use error::TadfaError;
 pub use grid::AnalysisGrid;

@@ -333,9 +333,9 @@ impl SessionCore {
     }
 
     /// [`analyze_with`](SessionCore::analyze_with) driven through the
-    /// retained naive reference solver
-    /// ([`ThermalDfa::run_reference`]) — the pre-optimization analysis
-    /// path. Exists so the solver quickbench has an honest cold
+    /// fixpoint's naive oracle stepper ([`ThermalDfa::run_reference`]):
+    /// the naive solver on every step, and every block walked on every
+    /// sweep. Exists so the solver quickbench has an honest cold
     /// baseline and the suite-wide bit-identity tests
     /// (`tests/solver_identity.rs`) can compare whole reports; never
     /// the path to use in production.

@@ -18,8 +18,10 @@
 //! op — so a kernel rewritten over [`W8`] produces bit-identical
 //! results to its scalar form **as long as the per-lane operation
 //! sequence is unchanged**. The kernels in [`crate::solver`] preserve
-//! the scalar fold order per cell; the bit-identity oracle
-//! (`kernel_identity.rs`, `run_reference`) asserts it.
+//! the scalar fold order per cell; `kernel_identity.rs` asserts it per
+//! step against `ThermalModel::step`, and `tadfa-core`'s
+//! `ThermalDfa::run_reference`, a whole fixpoint through the naive
+//! step, asserts it end to end.
 //!
 //! `max` deserves one note: [`W8::max`] lowers to `vmaxpd`, which
 //! returns its **second** operand when the lanes compare equal or
