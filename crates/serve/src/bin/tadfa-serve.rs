@@ -11,9 +11,8 @@
 //! tadfa-serve [--scenarios <dir>] [--pipe | --listen <addr:port>]
 //!             [--queue-capacity N] [--service-workers N] [--engine-workers N]
 //!             [--cache-dir <dir>] [--warm-golden <dir>] [--shed-after-ms N]
-//!             [--reactor-shards N] [--idle-sleep-us N]
-//!             [--max-line-bytes N] [--stall-timeout-ms N]
-//!             [--compact-cache]
+//!             [--reactor-shards N] [--max-line-bytes N]
+//!             [--stall-timeout-ms N] [--compact-cache]
 //! ```
 //!
 //! `--cache-dir` turns on the persistent solve-cache tier (preload at
@@ -21,7 +20,6 @@
 //! scenario once at startup and fingerprint-verifies it against its
 //! committed golden; `--shed-after-ms` is the queueing-latency SLO
 //! beyond which waiting requests are shed instead of computed;
-//! `--idle-sleep-us` caps the reactor shards' idle backoff;
 //! `--compact-cache` (with `--cache-dir`) compacts every scenario's
 //! segment directory — dropping duplicate-key records accumulated
 //! across process lifetimes — and exits instead of serving.
@@ -40,8 +38,8 @@ USAGE:
     tadfa-serve [--scenarios <dir>] [--pipe | --listen <addr:port>]
                 [--queue-capacity N] [--service-workers N] [--engine-workers N]
                 [--cache-dir <dir>] [--warm-golden <dir>] [--shed-after-ms N]
-                [--reactor-shards N] [--idle-sleep-us N]
-                [--max-line-bytes N] [--stall-timeout-ms N] [--compact-cache]
+                [--reactor-shards N] [--max-line-bytes N]
+                [--stall-timeout-ms N] [--compact-cache]
 
 Loads every scenarios/*.toml|json spec once, then serves JSON-lines
 requests ({\"id\": 1, \"op\": \"run-scenario\", \"scenario\": \"<stem>\"},
@@ -55,12 +53,10 @@ shed with an slo-shed error instead of computed late. --cache-dir
 persists every solve-cache entry to checksummed segment files and
 preloads them at the next start; --warm-golden <dir> runs each
 scenario once at startup and refuses to serve on any fingerprint
-mismatch with the committed goldens. --idle-sleep-us caps the reactor
-shards' idle-sleep backoff (lower = snappier wake after a lull,
-higher = less idle CPU). --compact-cache rewrites every scenario's
-segment directory under --cache-dir dropping duplicate-key records,
-then exits without serving (safe: a crash mid-compaction never loses
-pre-compaction data).";
+mismatch with the committed goldens. --compact-cache rewrites every
+scenario's segment directory under --cache-dir dropping duplicate-key
+records, then exits without serving (safe: a crash mid-compaction
+never loses pre-compaction data).";
 
 fn main() -> ExitCode {
     let mut cfg = ServerConfig::default();
@@ -112,10 +108,6 @@ fn main() -> ExitCode {
             },
             "--reactor-shards" => match usize_arg(arg, it.next()) {
                 Ok(v) => cfg.reactor_shards = v,
-                Err(e) => return usage_error(&e),
-            },
-            "--idle-sleep-us" => match usize_arg(arg, it.next()) {
-                Ok(v) => cfg.idle_sleep_us = v as u64,
                 Err(e) => return usage_error(&e),
             },
             "--compact-cache" => compact = true,

@@ -187,8 +187,9 @@ impl Router {
     ///
     /// # Errors
     ///
-    /// Only the initial nonblocking-mode switch can fail; accept
-    /// errors are logged and survived.
+    /// Only setting up (the reactor's wake sockets, the listener's
+    /// nonblocking mode) can fail; accept errors are logged and
+    /// survived.
     pub fn serve(self: &Arc<Router>, listener: TcpListener) -> std::io::Result<()> {
         let cfg = ServerConfig {
             max_line_bytes: self.policy.max_line_bytes,

@@ -13,7 +13,7 @@
 //! # Request flow
 //!
 //! ```text
-//! acceptor ──round-robin──► reactor shard (nonblocking reads, N conns)
+//! acceptor ──round-robin──► reactor shard (poll(2), nonblocking reads)
 //!                                │ parse, ping/shutdown inline
 //!                                ▼
 //!                          AdmissionQueue ──pop──► service worker
@@ -26,14 +26,16 @@
 //! shares ([`Server::serve_listener`]): a small fixed set of reactor
 //! shards owns every connection's nonblocking socket and line buffer,
 //! so thousands of idle or dribbling clients cost buffers, not
-//! threads. Reactors never compute: they parse, answer
-//! `ping`/`shutdown` inline, and either admit the request into the
-//! bounded [`AdmissionQueue`](crate::AdmissionQueue) or answer
-//! `queue-full` immediately — overload degrades into clean
-//! rejections, not latency or memory. Abusive input degrades the one
-//! connection, never the shard: a line exceeding
-//! [`ServerConfig::max_line_bytes`] gets `request-too-large` and a
-//! close; a partial line stalled past
+//! threads. A shard blocks in `poll(2)` until one of its connections
+//! is readable, so it reads a request the moment it arrives and costs
+//! no CPU while idle; the TCP door needs a Unix host. Reactors never
+//! compute: they parse, answer `ping`/`shutdown` inline, and either
+//! admit the request into the bounded
+//! [`AdmissionQueue`](crate::AdmissionQueue) or answer `queue-full`
+//! immediately — overload degrades into clean rejections, not latency
+//! or memory. Abusive input degrades the one connection, never the
+//! shard: a line exceeding [`ServerConfig::max_line_bytes`] gets
+//! `request-too-large` and a close; a partial line stalled past
 //! [`ServerConfig::stall_timeout_ms`] (the slow-loris shape) gets an
 //! error and a close. A failing `accept` (open connections have used
 //! up the file descriptors, say) is logged and retried, never fatal.
@@ -133,14 +135,6 @@ pub struct ServerConfig {
     pub stall_timeout_ms: u64,
     /// Reactor shard threads sharing the connection set.
     pub reactor_shards: usize,
-    /// Cap, in microseconds, on a reactor shard's idle sleep. An idle
-    /// shard backs off exponentially (starting at 50 µs, doubling per
-    /// quiet pass) up to this cap, and snaps back to the floor the
-    /// moment any connection makes progress — so a burst after a lull
-    /// pays at most one cap-length sleep of latency, while a fleet of
-    /// idle workers stops burning a 1 ms-resolution polling loop per
-    /// shard.
-    pub idle_sleep_us: u64,
     /// When set, run every scenario once at startup and verify its
     /// fingerprint against `<dir>/<stem>.json` before serving (also
     /// populates the cache — and, with `cache_dir`, the disk tier).
@@ -159,7 +153,6 @@ impl Default for ServerConfig {
             max_line_bytes: 1 << 20,
             stall_timeout_ms: 10_000,
             reactor_shards: 2,
-            idle_sleep_us: 1_000,
             warm_golden: None,
         }
     }
@@ -723,8 +716,9 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Only the initial nonblocking-mode switch can fail; accept
-    /// errors are logged and survived.
+    /// Only setting up (the reactor's wake sockets, the listener's
+    /// nonblocking mode) can fail; accept errors are logged and
+    /// survived.
     pub fn serve_listener(&self, listener: TcpListener) -> std::io::Result<()> {
         let workers = self.start_workers(self.inner.cfg.service_workers);
         let result = reactor::serve(Arc::new(self.clone()), listener, &self.inner.cfg);
