@@ -12,7 +12,7 @@
 //! repetition re-runs an identical fixpoint.
 //!
 //! A [`SolveCache`] memoises those solves whole: the key is a 128-bit
-//! quantized hash of the power profile
+//! bit-exact hash of the power profile
 //! ([`ThermalDfa::signature`](crate::ThermalDfa::signature), built on
 //! [`tadfa_thermal::hashing`]), the value the complete
 //! [`ThermalDfaResult`].
@@ -29,13 +29,10 @@
 //! counting each replayed report through
 //! [`SolveCache::count_report_hits`].
 //!
-//! At the default quantum of `0.0` only bit-identical profiles share a
-//! key, so a cached answer is exactly the answer the solver would
-//! produce — analyses run *with* the cache are byte-identical to
-//! analyses run without it, which the engine's determinism tests
-//! assert. A coarser quantum trades that guarantee for a higher hit
-//! rate (profiles closer than the quantum are answered by whichever
-//! was solved first).
+//! Only bit-identical profiles share a key, so a cached answer is
+//! exactly the answer the solver would produce — analyses run *with*
+//! the cache are byte-identical to analyses run without it, which the
+//! engine's determinism tests assert.
 //!
 //! The cache is sharded and lock-per-shard, so engine workers contend
 //! only when they touch the same shard at the same instant; entries are
@@ -84,7 +81,7 @@ const DEFAULT_CAPACITY: usize = 4096;
 ///                           PowerModel::default(), ThermalDfaConfig::default())?;
 ///
 /// let cache = SolveCache::new();
-/// let key = dfa.signature(cache.quantum());
+/// let key = dfa.signature();
 /// assert!(cache.fetch(key).is_none(), "cold");
 /// cache.store(key, &std::sync::Arc::new(dfa.run()));
 /// assert!(cache.fetch(key).is_some(), "warm");
@@ -124,14 +121,13 @@ pub struct SolveCache {
     /// default) keeps the store path free of the extra lock.
     spill_log: Mutex<Option<Vec<SpillEntry>>>,
     capacity: usize,
-    quantum: f64,
 }
 
 /// One cache insertion, captured for the persistence tier: which map it
 /// went into, under which signature key, with the value itself.
 #[derive(Clone, Debug)]
 pub struct SpillEntry {
-    /// The quantized signature the value is cached under.
+    /// The signature the value is cached under.
     pub key: u128,
     /// The cached value.
     pub value: SpillValue,
@@ -203,17 +199,13 @@ impl Default for SolveCache {
 }
 
 impl SolveCache {
-    /// A bit-exact cache (quantum 0) with the default capacity.
+    /// A cache with the default capacity.
     pub fn new() -> SolveCache {
-        SolveCache::with_capacity_and_quantum(DEFAULT_CAPACITY, 0.0)
+        SolveCache::with_capacity(DEFAULT_CAPACITY)
     }
 
-    /// A cache holding at most `capacity` fixpoint results, keyed at
-    /// the given quantum. Quantum `0.0` keys on exact bit patterns
-    /// (cached results byte-identical to uncached); a positive quantum
-    /// merges power profiles closer than the quantum (more hits,
-    /// approximate).
-    pub fn with_capacity_and_quantum(capacity: usize, quantum: f64) -> SolveCache {
+    /// A cache holding at most `capacity` fixpoint results.
+    pub fn with_capacity(capacity: usize) -> SolveCache {
         SolveCache {
             shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             summary_shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
@@ -228,7 +220,6 @@ impl SolveCache {
             preloaded: AtomicU64::new(0),
             spill_log: Mutex::new(None),
             capacity,
-            quantum,
         }
     }
 
@@ -258,11 +249,6 @@ impl SolveCache {
         if let Some(log) = self.spill_log.lock().expect("spill log poisoned").as_mut() {
             log.push(SpillEntry { key, value });
         }
-    }
-
-    /// The key quantum (see [`tadfa_thermal::hashing::quantize`]).
-    pub fn quantum(&self) -> f64 {
-        self.quantum
     }
 
     fn shard(&self, key: u128) -> &Mutex<HashMap<u128, Arc<ThermalDfaResult>>> {
@@ -306,8 +292,8 @@ impl SolveCache {
     /// Stores one fixpoint result. Once the cache is at capacity the
     /// store is rejected and counted ([`CacheStats::rejected_stores`])
     /// instead of inserted; concurrent stores of the same key keep the
-    /// first (with quantum 0 both are bit-identical anyway — a same-key
-    /// re-store is neither an insertion nor a rejection).
+    /// first (both are bit-identical anyway — a same-key re-store is
+    /// neither an insertion nor a rejection).
     pub fn store(&self, key: u128, result: &Arc<ThermalDfaResult>) {
         if self.entries.load(Ordering::Relaxed) >= self.capacity {
             // Re-storing a key that is already resident is not a lost
@@ -551,7 +537,7 @@ mod tests {
             ThermalDfaConfig::default(),
         )
         .unwrap();
-        (dfa.signature(0.0), Arc::new(dfa.run()))
+        (dfa.signature(), Arc::new(dfa.run()))
     }
 
     #[test]
@@ -569,7 +555,7 @@ mod tests {
 
     #[test]
     fn capacity_bounds_insertion_but_not_lookup() {
-        let c = SolveCache::with_capacity_and_quantum(1, 0.0);
+        let c = SolveCache::with_capacity(1);
         let (key, result) = solved();
         c.store(key, &result);
         for k in 1..5u128 {
@@ -588,7 +574,7 @@ mod tests {
     /// and the first writer of the resident key wins.
     #[test]
     fn concurrent_stores_at_capacity_count_rejections() {
-        let c = SolveCache::with_capacity_and_quantum(1, 0.0);
+        let c = SolveCache::with_capacity(1);
         let (key, result) = solved();
         c.store(key, &result);
         let resident = c.fetch(key).expect("resident before the store storm");
@@ -622,7 +608,7 @@ mod tests {
 
     #[test]
     fn clear_resets_entries_and_counters() {
-        let c = SolveCache::with_capacity_and_quantum(1, 0.0);
+        let c = SolveCache::with_capacity(1);
         let (key, result) = solved();
         c.store(key, &result);
         c.store(key ^ 1, &result);
@@ -668,7 +654,7 @@ mod tests {
                 ThermalDfaConfig::default(),
             )
             .unwrap();
-            Arc::new(dfa.summarize(0.0))
+            Arc::new(dfa.summarize())
         };
         c.store_summary(key, &sum);
         c.store_summary(key, &sum); // re-store is not a second store
@@ -699,7 +685,7 @@ mod tests {
             ThermalDfaConfig::default(),
         )
         .unwrap();
-        (dfa.signature(0.0), Arc::new(dfa.summarize(0.0)))
+        (dfa.signature(), Arc::new(dfa.summarize()))
     }
 
     /// The persistence contract end-to-end in memory: new insertions

@@ -6,8 +6,8 @@
 //! every `f64` travels as its IEEE-754 bit pattern
 //! (`to_bits`/`from_bits`), so a result loaded from disk is
 //! byte-identical to the result that was spilled — the same
-//! bit-identity contract the in-memory cache keeps
-//! (quantum 0), extended across process restarts.
+//! bit-identity contract the in-memory cache keeps, extended across
+//! process restarts.
 //!
 //! The format is deliberately dumb: little-endian fixed-width
 //! integers, length-prefixed sequences, no compression, no
@@ -16,7 +16,8 @@
 //! service's segment store (checksummed records); this layer only
 //! needs to refuse, with a typed [`CodecError`], anything that does
 //! not decode cleanly — it must never panic on hostile bytes, which
-//! the decoder's bounds-checked reads guarantee.
+//! the decoder's bounds-checked reads guarantee — or that decodes to a
+//! value whose use would panic.
 //!
 //! [`ThermalDfaResult`]: crate::ThermalDfaResult
 //! [`ThermalSummary`]: crate::ThermalSummary
@@ -52,6 +53,11 @@ pub enum CodecError {
     /// converged result's residual slot is always `0.0`), so the
     /// value would not re-encode to the bytes it came from.
     NonCanonical(u64),
+    /// A field decoded cleanly but does not fit the record, so using
+    /// the value would panic: a state whose length is not the record's
+    /// point count, or a summary deposit at a point past it or with
+    /// negative power. Carries the field's value (an `f64` as its bits).
+    OutOfRange(u64),
 }
 
 impl fmt::Display for CodecError {
@@ -70,6 +76,7 @@ impl fmt::Display for CodecError {
                 write!(f, "{n} trailing byte(s) after a complete record")
             }
             CodecError::NonCanonical(bits) => write!(f, "non-canonical field bits {bits:#018x}"),
+            CodecError::OutOfRange(v) => write!(f, "field value {v:#x} does not fit the record"),
         }
     }
 }

@@ -3,7 +3,6 @@
 use crate::error::TadfaError;
 use serde::{Deserialize, Serialize};
 use tadfa_thermal::constants;
-use tadfa_thermal::SolverMode;
 
 /// How predecessor exit states merge at a block entry.
 ///
@@ -48,13 +47,6 @@ pub struct ThermalDfaConfig {
     pub time_scale: f64,
     /// Whether to add temperature-dependent leakage to each step's power.
     pub leakage_feedback: bool,
-    /// Floating-point contract of the compiled solver kernels.
-    ///
-    /// [`SolverMode::Exact`] (the default) keeps every result bit-identical
-    /// to the naive reference solvers; [`SolverMode::Fast`] permits bounded
-    /// reassociation (see `docs/DETERMINISM.md`). Golden-report gates refuse
-    /// `Fast` results unless explicitly overridden.
-    pub solver_mode: SolverMode,
 }
 
 impl Default for ThermalDfaConfig {
@@ -66,7 +58,6 @@ impl Default for ThermalDfaConfig {
             seconds_per_cycle: constants::DEFAULT_SECONDS_PER_CYCLE,
             time_scale: constants::DEFAULT_TIME_SCALE,
             leakage_feedback: true,
-            solver_mode: SolverMode::Exact,
         }
     }
 }
@@ -128,12 +119,6 @@ impl ThermalDfaConfig {
         self
     }
 
-    /// Builder-style: sets the solver floating-point contract.
-    pub fn with_solver_mode(mut self, mode: SolverMode) -> ThermalDfaConfig {
-        self.solver_mode = mode;
-        self
-    }
-
     /// Seconds of modelled time one execution of an instruction with the
     /// given latency represents.
     pub fn step_duration(&self, latency: u32) -> f64 {
@@ -186,7 +171,6 @@ mod tests {
         assert!(c.delta > 0.0);
         assert_eq!(c.merge, MergeRule::Max);
         assert!(c.leakage_feedback);
-        assert_eq!(c.solver_mode, SolverMode::Exact);
     }
 
     #[test]
@@ -194,12 +178,10 @@ mod tests {
         let c = ThermalDfaConfig::default()
             .with_delta(0.5)
             .with_merge(MergeRule::Average)
-            .with_max_iterations(7)
-            .with_solver_mode(SolverMode::Fast);
+            .with_max_iterations(7);
         assert_eq!(c.delta, 0.5);
         assert_eq!(c.merge, MergeRule::Average);
         assert_eq!(c.max_iterations, 7);
-        assert_eq!(c.solver_mode, SolverMode::Fast);
     }
 
     #[test]

@@ -38,9 +38,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use tadfa_ir::{BlockId, Cfg, Function, Inst, InstId, Opcode, Terminator, VReg};
 use tadfa_regalloc::Assignment;
-use tadfa_thermal::{
-    LeakageParams, PowerModel, SolverMode, StepSchedule, StepScratch, ThermalState,
-};
+use tadfa_thermal::{LeakageParams, PowerModel, StepSchedule, StepScratch, ThermalState};
 
 /// Reusable buffers for one worker's fixpoint runs.
 ///
@@ -164,13 +162,11 @@ impl Stepper for StepPlan {
     ) -> f64 {
         let (deposits, sched) = self.span(site);
         let leak = dfa.config.leakage_feedback.then_some(&self.leak);
-        let (solver, mode) = (dfa.grid.compiled(), dfa.config.solver_mode);
+        let solver = dfa.grid.compiled();
         match prev {
-            Some(prev) => {
-                solver.step_sparse_tracked_into(state, deposits, sched, leak, mode, step, prev)
-            }
+            Some(prev) => solver.step_sparse_tracked_into(state, deposits, sched, leak, step, prev),
             None => {
-                solver.step_sparse_mode_into(state, deposits, sched, leak, mode, step);
+                solver.step_sparse_into(state, deposits, sched, leak, step);
                 0.0
             }
         }
@@ -521,22 +517,21 @@ impl<'a> ThermalDfa<'a> {
         }
     }
 
-    /// The quantized power-profile hash of this analysis — the
-    /// [`SolveCache`] key. Two analyses share a signature exactly when
-    /// every input the fixpoint reads agrees (under the quantum): the
-    /// grid's RC parameters and point count, the DFA configuration, the
-    /// leakage model, and, instruction by instruction in control-flow
-    /// order, which analysis points are touched with what energy for
-    /// how long. At quantum `0.0` the float inputs are keyed by exact
-    /// bit pattern, so equal signatures imply bit-identical fixpoint
-    /// results.
-    pub fn signature(&self, quantum: f64) -> u128 {
-        self.signature_with(&Cfg::compute(self.func), quantum)
+    /// The power-profile hash of this analysis — the [`SolveCache`]
+    /// key. Two analyses share a signature exactly when every input the
+    /// fixpoint reads agrees: the grid's RC parameters and point count,
+    /// the DFA configuration, the leakage model, and, instruction by
+    /// instruction in control-flow order, which analysis points are
+    /// touched with what energy for how long. The float inputs are
+    /// keyed by exact bit pattern, so equal signatures imply
+    /// bit-identical fixpoint results.
+    pub fn signature(&self) -> u128 {
+        self.signature_with(&Cfg::compute(self.func))
     }
 
     /// [`signature`](ThermalDfa::signature) over a CFG the caller
     /// already computed (the fixpoint needs the same one).
-    fn signature_with(&self, cfg: &Cfg, quantum: f64) -> u128 {
+    fn signature_with(&self, cfg: &Cfg) -> u128 {
         let mut h = tadfa_thermal::hashing::Fnv128::new();
         // Grid + RC model. The grid's shape (not just its point count)
         // is part of the key: two equal-area coarsenings (e.g. 2×8 and
@@ -548,28 +543,26 @@ impl<'a> ThermalDfa<'a> {
         h.write_u64(fp.cols() as u64);
         let params = self.grid.model().params();
         h.write_u64(self.grid.num_points() as u64);
-        h.write_f64(params.cell_capacitance, quantum);
-        h.write_f64(params.lateral_resistance, quantum);
-        h.write_f64(params.vertical_resistance, quantum);
-        h.write_f64(params.ambient, quantum);
+        h.write_f64(params.cell_capacitance);
+        h.write_f64(params.lateral_resistance);
+        h.write_f64(params.vertical_resistance);
+        h.write_f64(params.ambient);
         // DFA config.
-        h.write_f64(self.config.delta, quantum);
+        h.write_f64(self.config.delta);
         h.write_u64(self.config.max_iterations as u64);
         h.write_u64(match self.config.merge {
             MergeRule::Max => 0,
             MergeRule::Average => 1,
         });
-        h.write_f64(self.config.seconds_per_cycle, quantum);
-        h.write_f64(self.config.time_scale, quantum);
+        h.write_f64(self.config.seconds_per_cycle);
+        h.write_f64(self.config.time_scale);
         h.write_u64(self.config.leakage_feedback as u64);
-        h.write_u64(match self.config.solver_mode {
-            SolverMode::Exact => 0,
-            SolverMode::Fast => 1,
-        });
+        // The retired solver-mode word (exact = 0) keeps keys and spilled segments valid.
+        h.write_u64(0);
         // Leakage model (read/write energies are folded in per access).
-        h.write_f64(self.power_model.leakage_per_cell, quantum);
-        h.write_f64(self.power_model.leakage_temp_coeff, quantum);
-        h.write_f64(self.power_model.reference_temp, quantum);
+        h.write_f64(self.power_model.leakage_per_cell);
+        h.write_f64(self.power_model.leakage_temp_coeff);
+        h.write_f64(self.power_model.reference_temp);
         // The power profile: result vectors are indexed by arena slot
         // and block id, so fold the ids in alongside the accesses.
         let func = self.func;
@@ -591,7 +584,7 @@ impl<'a> ThermalDfa<'a> {
                 self.fill_access_energies(inst, &mut accesses);
                 for &(point, energy) in &accesses {
                     h.write_u64(point as u64);
-                    h.write_f64(energy, quantum);
+                    h.write_f64(energy);
                 }
                 // A call site's transfer function includes the callee's
                 // replayed trace, so the callee summary's own signature
@@ -608,7 +601,7 @@ impl<'a> ThermalDfa<'a> {
                 self.fill_term_energies(t, &mut accesses);
                 for &(point, energy) in &accesses {
                     h.write_u64(point as u64);
-                    h.write_f64(energy, quantum);
+                    h.write_f64(energy);
                 }
             }
         }
@@ -623,10 +616,7 @@ impl<'a> ThermalDfa<'a> {
     /// thermal state is exact for any entry state, including under
     /// leakage feedback, because it runs the same solver steps the
     /// sweeps run.
-    ///
-    /// `quantum` keys the embedded [`signature`](ThermalSummary::signature)
-    /// (use the memo cache's quantum; `0.0` for bit-exact keying).
-    pub fn summarize(&self, quantum: f64) -> ThermalSummary {
+    pub fn summarize(&self) -> ThermalSummary {
         let cfg = Cfg::compute(self.func);
         let mut accesses = Vec::new();
         let plan = self.build_plan(&cfg, &mut accesses);
@@ -660,7 +650,7 @@ impl<'a> ThermalDfa<'a> {
             plan.leak,
             self.config.leakage_feedback,
             self.grid.num_points(),
-            self.signature_with(&cfg, quantum),
+            self.signature_with(&cfg),
         )
     }
 
@@ -691,9 +681,8 @@ impl<'a> ThermalDfa<'a> {
     /// the whole fixpoint is answered from memo when an identical
     /// power profile (see [`ThermalDfa::signature`]) was solved before;
     /// a hit clones an [`Arc`], never the state vectors. Results are
-    /// identical to [`run`](ThermalDfa::run) whenever the cache's
-    /// quantum is `0.0` (the default), because only bit-identical
-    /// profiles share a cache key.
+    /// identical to [`run`](ThermalDfa::run), because only
+    /// bit-identical profiles share a cache key.
     pub fn run_with(
         &self,
         scratch: &mut DfaScratch,
@@ -702,7 +691,7 @@ impl<'a> ThermalDfa<'a> {
         let cfg = Cfg::compute(self.func);
         match cache {
             Some(cache) => {
-                let key = self.signature_with(&cfg, cache.quantum());
+                let key = self.signature_with(&cfg);
                 if let Some(hit) = cache.fetch(key) {
                     return hit;
                 }
@@ -853,7 +842,7 @@ impl<'a> ThermalDfa<'a> {
                     sum => {
                         stepper.advance(self, site, walker, step, None);
                         if let Some(sum) = sum {
-                            sum.apply(walker, self.grid.compiled(), self.config.solver_mode, step);
+                            sum.apply(walker, self.grid.compiled(), step);
                         }
                         if was_init {
                             ThermalState::linf_update_slices(row, walker.temps())
@@ -1062,6 +1051,11 @@ impl ThermalDfaResult {
                     0 => states.push(None),
                     1 => {
                         let len = r.get_u64()?;
+                        // Every state spans the whole grid; the result's
+                        // accessors merge them element-wise.
+                        if len != num_points as u64 {
+                            return Err(CodecError::OutOfRange(len));
+                        }
                         let len = r.checked_len(len, 8)?;
                         let mut temps = Vec::with_capacity(len);
                         for _ in 0..len {
@@ -1449,7 +1443,7 @@ mod tests {
                 ThermalDfaConfig::default(),
             )
             .unwrap()
-            .signature(0.0)
+            .signature()
         };
         assert_ne!(sig(&wide), sig(&square));
     }

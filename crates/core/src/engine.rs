@@ -27,10 +27,9 @@
 //!   which worker finished first.
 //!
 //! Because policies are instantiated fresh per item and the solve
-//! cache's default quantum is `0.0` (bit-exact keys), the engine's
-//! reports are **byte-identical** to the sequential session's, in the
-//! same order — `tests/engine_parallel.rs` asserts this fingerprint by
-//! fingerprint.
+//! cache keys on exact bits, the engine's reports are
+//! **byte-identical** to the sequential session's, in the same order —
+//! `tests/engine_parallel.rs` asserts this fingerprint by fingerprint.
 //!
 //! # Example
 //!
@@ -260,15 +259,6 @@ impl Engine {
             PolicyFactory::named(name, seed),
             workers,
         )
-    }
-
-    /// Replaces the solve cache with one of the given capacity and key
-    /// quantum. Quantum `0.0` (the default) keys on exact bits and
-    /// preserves byte-identical results; a positive quantum trades that
-    /// guarantee for a higher hit rate.
-    pub fn with_cache(mut self, capacity: usize, quantum: f64) -> Engine {
-        self.cache = SolveCache::with_capacity_and_quantum(capacity, quantum);
-        self
     }
 
     /// The worker count.

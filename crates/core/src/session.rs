@@ -494,15 +494,15 @@ impl SessionCore {
     ) -> Arc<ThermalSummary> {
         match cache {
             Some(cache) => {
-                let key = dfa.signature(cache.quantum());
+                let key = dfa.signature();
                 if let Some(hit) = cache.fetch_summary(key) {
                     return hit;
                 }
-                let sum = Arc::new(dfa.summarize(cache.quantum()));
+                let sum = Arc::new(dfa.summarize());
                 cache.store_summary(key, &sum);
                 sum
             }
-            None => Arc::new(dfa.summarize(0.0)),
+            None => Arc::new(dfa.summarize()),
         }
     }
 
@@ -937,15 +937,15 @@ impl ThermalReport {
             } => {
                 h.write_u64(0);
                 h.write_u64(iterations as u64);
-                h.write_f64(residual, 0.0);
+                h.write_f64(residual);
             }
         }
-        h.write_f64s(&self.dfa.residual_history, 0.0);
-        h.write_f64s(self.predicted.temps(), 0.0);
+        h.write_f64s(&self.dfa.residual_history);
+        h.write_f64s(self.predicted.temps());
         h.write_u64(self.critical.ranked().len() as u64);
         for &(v, t) in self.critical.ranked() {
             h.write_u64(v.index() as u64);
-            h.write_f64(t, 0.0);
+            h.write_f64(t);
         }
         h.finish()
     }

@@ -21,9 +21,7 @@
 //! trace is flattened once, no matter how many functions call it.
 
 use crate::codec::{ByteReader, ByteWriter, CodecError};
-use tadfa_thermal::{
-    CompiledModel, LeakageParams, SolverMode, StepSchedule, StepScratch, ThermalState,
-};
+use tadfa_thermal::{CompiledModel, LeakageParams, StepSchedule, StepScratch, ThermalState};
 
 /// One RC step of a summary trace: a slice of the summary's deposit
 /// table plus the precomputed sub-step schedule for its duration.
@@ -84,8 +82,14 @@ impl ThermalSummary {
         self.steps.len()
     }
 
+    /// Number of explicit-Euler sub-steps replaying the summary runs —
+    /// the cost of one call site.
+    pub fn num_substeps(&self) -> u64 {
+        self.steps.iter().map(|s| u64::from(s.sched.n_sub())).sum()
+    }
+
     /// The content signature the summary was computed under — the same
-    /// quantized power-profile hash that keys whole fixpoint solves
+    /// bit-exact power-profile hash that keys whole fixpoint solves
     /// ([`ThermalDfa::signature`](crate::ThermalDfa::signature)), so
     /// two functions with identical bodies share one cached summary.
     pub fn signature(&self) -> u128 {
@@ -97,13 +101,12 @@ impl ThermalSummary {
         &self,
         state: &mut ThermalState,
         compiled: &CompiledModel,
-        mode: SolverMode,
         step: &mut StepScratch,
     ) {
         let leak = self.leakage_feedback.then_some(&self.leak);
         for s in &self.steps {
             let deposits = &self.deposits[s.start as usize..s.end as usize];
-            compiled.step_sparse_mode_into(state, deposits, &s.sched, leak, mode, step);
+            compiled.step_sparse_into(state, deposits, &s.sched, leak, step);
         }
     }
 
@@ -194,7 +197,16 @@ impl ThermalSummary {
         let n = r.checked_len(n, 12)?;
         let mut deposits = Vec::with_capacity(n);
         for _ in 0..n {
-            deposits.push((r.get_u32()?, r.get_f64()?));
+            let (point, watts) = (r.get_u32()?, r.get_f64()?);
+            // Replaying steps the kernel, which indexes the grid by
+            // point and takes only non-negative power.
+            if point as usize >= num_points {
+                return Err(CodecError::OutOfRange(u64::from(point)));
+            }
+            if watts.is_nan() || watts < 0.0 {
+                return Err(CodecError::OutOfRange(watts.to_bits()));
+            }
+            deposits.push((point, watts));
         }
         // Every span must address real deposits, or replaying would
         // index out of bounds.

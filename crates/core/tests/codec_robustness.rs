@@ -1,8 +1,9 @@
 //! Robustness of the spill codec against hostile bytes: every input to
 //! `SpillEntry::from_bytes` (and through it `ThermalDfaResult::decode`
 //! and `ThermalSummary::decode`) must return a typed `CodecError`, or
-//! decode to a value whose re-encoding is byte-identical to the input,
-//! and must never panic.
+//! decode to a value whose re-encoding is byte-identical to the input
+//! and which can be used — a result's peak read, a summary replayed at
+//! a call site — and must never panic.
 //!
 //! (Seeded-loop style: the offline build has no proptest, so cases are
 //! drawn from the workspace's deterministic `rand` stub.)
@@ -15,7 +16,7 @@ use tadfa_core::codec::CODEC_VERSION;
 use tadfa_core::{
     AnalysisGrid, SpillEntry, SpillValue, ThermalDfa, ThermalDfaConfig, ThermalSummary,
 };
-use tadfa_ir::Function;
+use tadfa_ir::{Function, FunctionBuilder};
 use tadfa_regalloc::{allocate_linear_scan, FirstFree, RegAllocConfig};
 use tadfa_thermal::{Floorplan, PowerModel, RcParams, RegisterFile};
 use tadfa_workloads::{fibonacci, generate_module, ModuleGeneratorConfig};
@@ -39,7 +40,7 @@ fn entries() -> Vec<Vec<u8>> {
             summaries,
         )
         .unwrap();
-        (dfa.signature(0.0), dfa.run(), dfa.summarize(0.0))
+        (dfa.signature(), dfa.run(), dfa.summarize())
     };
     let mut out = Vec::new();
     for (cfg, converges) in [
@@ -72,8 +73,40 @@ fn entries() -> Vec<Vec<u8>> {
     out.iter().map(SpillEntry::to_bytes).collect()
 }
 
+/// Sub-steps above which [`check`] does not replay a summary. A bit
+/// flip in a step's sub-step count decodes to a well-formed trace of up
+/// to 2³² sub-steps: replaying it takes longer, but walks the same
+/// kernel path as a short count, so it cannot panic where a short one
+/// does not.
+const REPLAY_SUBSTEPS: u64 = 1 << 12;
+
+/// Replays `summary` at the one call site of a caller on the 4×4 grid
+/// the entries were analysed on.
+fn replay(summary: &Arc<ThermalSummary>) {
+    let rf = RegisterFile::new(Floorplan::grid(4, 4));
+    let grid = AnalysisGrid::full(&rf, RcParams::default());
+    let mut b = FunctionBuilder::new("caller");
+    let x = b.param();
+    let y = b.call("callee", &[x]);
+    b.ret(Some(y));
+    let mut f = b.finish();
+    let alloc =
+        allocate_linear_scan(&mut f, &rf, &mut FirstFree, &RegAllocConfig::default()).unwrap();
+    let summaries = HashMap::from([("callee".to_string(), Arc::clone(summary))]);
+    let dfa = ThermalDfa::with_summaries(
+        &f,
+        &alloc.assignment,
+        &grid,
+        PowerModel::default(),
+        ThermalDfaConfig::default(),
+        &summaries,
+    )
+    .expect("a 16-point summary fits the 4x4 grid");
+    dfa.run();
+}
+
 /// The codec's contract on one input: a typed error, or a value that
-/// re-encodes to exactly the input.
+/// re-encodes to exactly the input and can be used.
 fn check(bytes: &[u8]) {
     if let Ok(entry) = SpillEntry::from_bytes(bytes) {
         assert_eq!(
@@ -81,6 +114,16 @@ fn check(bytes: &[u8]) {
             bytes,
             "a decoded entry re-encodes to its input"
         );
+        match &entry.value {
+            SpillValue::Result(result) => {
+                result.peak_temperature();
+            }
+            SpillValue::Summary(summary) => {
+                if summary.num_points() == 16 && summary.num_substeps() <= REPLAY_SUBSTEPS {
+                    replay(summary);
+                }
+            }
+        }
     }
 }
 
@@ -88,7 +131,13 @@ fn check(bytes: &[u8]) {
 fn full_entries_round_trip() {
     for bytes in entries() {
         let entry = SpillEntry::from_bytes(&bytes).expect("a full entry decodes");
-        assert_eq!(entry.to_bytes(), bytes);
+        if let SpillValue::Summary(summary) = &entry.value {
+            assert!(
+                summary.num_points() == 16 && summary.num_substeps() <= REPLAY_SUBSTEPS,
+                "check replays every full summary"
+            );
+        }
+        check(&bytes);
     }
 }
 

@@ -64,8 +64,8 @@ impl CovertConfig {
     /// # Errors
     ///
     /// [`TadfaError::InvalidConfig`] for an empty or non-binary
-    /// pattern, a non-positive bit period, a duty outside `(0, 1]`, or
-    /// a receiver core off the die.
+    /// pattern, a non-positive bit period, a duty outside `(0, 1]`, a
+    /// receiver core off the die, or a zero pressure.
     pub fn validate(&self, cores: usize) -> Result<(), TadfaError> {
         if self.pattern.is_empty() || self.pattern.bytes().any(|b| b != b'0' && b != b'1') {
             return Err(TadfaError::InvalidConfig {
@@ -93,6 +93,13 @@ impl CovertConfig {
                 param: "covert receiver_core",
                 value: self.receiver_core as f64,
                 reason: "receiver core is off the die",
+            });
+        }
+        if self.pressure == 0 {
+            return Err(TadfaError::InvalidConfig {
+                param: "covert pressure",
+                value: 0.0,
+                reason: "the sender kernel needs at least one live accumulator",
             });
         }
         Ok(())
@@ -222,6 +229,10 @@ mod tests {
             },
             CovertConfig {
                 receiver_core: 9,
+                ..CovertConfig::default()
+            },
+            CovertConfig {
+                pressure: 0,
                 ..CovertConfig::default()
             },
         ];

@@ -79,8 +79,8 @@ pub use policy::{
 };
 pub use report::{hex_fingerprint, render_report};
 pub use runner::{
-    golden_gate_guard, run_scenario, CoreSummary, DieSummary, PreparedScenario, RunOverrides,
-    ScenarioConfig, ScenarioResult, TaskOutcome,
+    run_scenario, CoreSummary, DieSummary, PreparedScenario, RunOverrides, ScenarioConfig,
+    ScenarioResult, TaskOutcome,
 };
 pub use spec::{load_spec, load_spec_dir, parse_spec_toml, SpecError, SPEC_FIELDS};
 pub use task::{generated_tasks, suite_tasks, task_metrics, Task, TaskMetrics};

@@ -41,9 +41,7 @@ use crate::policy::{mapping_policy_by_name, MappingContext};
 use crate::task::{task_metrics, Task, TaskMetrics};
 use std::sync::{Arc, OnceLock};
 use tadfa_core::engine::Engine;
-use tadfa_core::{
-    CacheStats, Session, SessionCore, SolverMode, TadfaError, ThermalDfaConfig, ThermalReport,
-};
+use tadfa_core::{CacheStats, Session, SessionCore, TadfaError, ThermalDfaConfig, ThermalReport};
 use tadfa_ir::{Function, Module};
 use tadfa_thermal::hashing::Fnv128;
 use tadfa_thermal::ModalSolver;
@@ -110,24 +108,6 @@ impl ScenarioConfig {
             covert: None,
         }
     }
-}
-
-/// The golden-gate guard: committed golden fingerprints are **exact**
-/// solver contracts, so the `tadfa check` subcommand (and the in-tree
-/// scenario gate) refuse a spec that requests the
-/// reassociation-permitting [`SolverMode::Fast`] unless the caller
-/// explicitly opted in (`--allow-fast`). Fast-mode runs are
-/// deterministic on one build, but their fingerprints are not
-/// comparable to exact-mode goldens — see `docs/DETERMINISM.md`.
-pub fn golden_gate_guard(cfg: &ScenarioConfig, allow_fast: bool) -> Result<(), String> {
-    if cfg.dfa.solver_mode == SolverMode::Fast && !allow_fast {
-        return Err(format!(
-            "scenario '{}' requests solver = \"fast\": golden fingerprints are exact-mode \
-             contracts; pass --allow-fast to gate a fast-mode golden deliberately",
-            cfg.name
-        ));
-    }
-    Ok(())
 }
 
 /// One task's scheduling outcome.
@@ -233,15 +213,15 @@ impl ScenarioResult {
             h.write_u64(t.core as u64);
             h.write_u64((t.fingerprint >> 64) as u64);
             h.write_u64(t.fingerprint as u64);
-            h.write_f64(t.start, 0.0);
-            h.write_f64(t.energy, 0.0);
+            h.write_f64(t.start);
+            h.write_f64(t.energy);
         }
-        h.write_f64(self.die.transient_peak, 0.0);
-        h.write_f64(self.die.transient_peak_time, 0.0);
-        h.write_f64(self.die.steady_peak, 0.0);
+        h.write_f64(self.die.transient_peak);
+        h.write_f64(self.die.transient_peak_time);
+        h.write_f64(self.die.steady_peak);
         h.write_u64(self.die.steady_converged as u64);
         h.write_u64(self.die.steady_sweeps as u64);
-        h.write_f64(self.die.makespan, 0.0);
+        h.write_f64(self.die.makespan);
         // Closed-loop blocks fold in only when configured, so the
         // fingerprints of historical (DTM-free) scenarios are unchanged.
         if let Some(d) = &self.dtm {
@@ -256,9 +236,9 @@ impl ScenarioResult {
         if let Some(c) = &self.covert {
             h.write_u64(c.bits as u64);
             h.write_u64(c.errors as u64);
-            h.write_f64(c.bandwidth_bps, 0.0);
-            h.write_f64(c.threshold_k, 0.0);
-            h.write_f64(c.swing_k, 0.0);
+            h.write_f64(c.bandwidth_bps);
+            h.write_f64(c.threshold_k);
+            h.write_f64(c.swing_k);
             for b in c.decoded.bytes() {
                 h.write_u64(b as u64);
             }
@@ -318,7 +298,7 @@ pub use tadfa_core::engine::BatchOptions as RunOverrides;
 ///   one task.
 ///
 /// Runs are **byte-identical** whether they analyze, hit the solve
-/// cache (which keys on exact bits, quantum 0) or replay the memo —
+/// cache (which keys on exact bits) or replay the memo —
 /// the service's golden-equality contract. Every field is shared state
 /// behind `&self` (`Send + Sync`), so one `&PreparedScenario` can serve
 /// concurrent requests from many service threads; concurrent first

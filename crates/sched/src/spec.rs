@@ -113,7 +113,7 @@ use crate::task::{generated_tasks, suite_tasks, Task};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use tadfa_core::{MergeRule, SolverMode, ThermalDfaConfig};
+use tadfa_core::{MergeRule, ThermalDfaConfig};
 use tadfa_thermal::RcParams;
 use tadfa_workloads::{bursty_arrivals, diurnal_arrivals};
 
@@ -154,10 +154,7 @@ pub const SPEC_FIELDS: &[(&str, &[&str])] = &[
     ),
     ("schedule", &["mapping", "workers"]),
     ("assignment", &["policy", "seed"]),
-    (
-        "dfa",
-        &["delta", "max_iterations", "merge", "leakage", "solver"],
-    ),
+    ("dfa", &["delta", "max_iterations", "merge", "leakage"]),
     ("dtm", &["policy", "epoch", "cap", "hysteresis", "levels"]),
     (
         "covert",
@@ -752,13 +749,14 @@ fn build_config(
     let count = tasks_sec.usize("count", 8)?;
     let mut module = None;
     let mut tasks: Vec<Task> = match source.as_str() {
-        "generated" => generated_tasks(
-            count,
-            tasks_sec.usize("seed", 42)? as u64,
-            tasks_sec.usize("pressure", 8)?,
-            arrival_period,
-            length,
-        ),
+        "generated" => {
+            let seed = tasks_sec.usize("seed", 42)? as u64;
+            let pressure = tasks_sec.usize("pressure", 8)?;
+            if pressure == 0 {
+                return Err(SpecError::new("[tasks] pressure must be at least 1"));
+            }
+            generated_tasks(count, seed, pressure, arrival_period, length)
+        }
         "suite" => suite_tasks(count, arrival_period, length),
         "files" => {
             let files = tasks_sec.str_list("files")?;
@@ -917,18 +915,11 @@ fn build_config(
             )))
         }
     };
-    let solver_raw = dfa_sec.str("solver", SolverMode::default().as_str())?;
-    let solver_mode = SolverMode::parse(&solver_raw).ok_or_else(|| {
-        SpecError::new(format!(
-            "[dfa] unknown solver mode '{solver_raw}' (exact | fast)"
-        ))
-    })?;
     let dfa = ThermalDfaConfig {
         delta: dfa_sec.num("delta", defaults.delta)?,
         max_iterations: dfa_sec.usize("max_iterations", defaults.max_iterations)?,
         merge,
         leakage_feedback: dfa_sec.bool("leakage", defaults.leakage_feedback)?,
-        solver_mode,
         ..defaults
     };
 
@@ -1035,7 +1026,20 @@ mod tests {
         assert!(parse_to_config("[tasks]\nsource = \"files\"\n").is_err());
         assert!(parse_to_config("[tasks]\nsource = \"suite\"\ncount = 1.5\n").is_err());
         assert!(
+            parse_to_config("[tasks]\nsource = \"generated\"\npressure = 0\n")
+                .unwrap_err()
+                .message
+                .contains("pressure")
+        );
+        assert!(
             parse_to_config("[dfa]\nmerge = \"median\"\n[tasks]\nsource = \"suite\"\n").is_err()
+        );
+        assert!(
+            parse_to_config("[dfa]\nsolver = \"fast\"\n[tasks]\nsource = \"suite\"\n")
+                .unwrap_err()
+                .message
+                .contains("solver"),
+            "the retired solver key is an unknown key"
         );
         assert!(parse_toml("key value\n").is_err());
         assert!(parse_toml("[unterminated\n").is_err());
@@ -1288,6 +1292,14 @@ mod tests {
         // Validation sees the die: receiver must be a real core.
         let off_die = "[tasks]\nsource = \"covert\"\n[covert]\nreceiver_core = 5\n";
         assert!(parse_to_config(off_die).is_err());
+
+        // The sender kernel needs at least one live accumulator.
+        let cold = "[floorplan]\ncores = 2\n\
+                    [tasks]\nsource = \"covert\"\n[covert]\npressure = 0\n";
+        assert!(parse_to_config(cold)
+            .unwrap_err()
+            .message
+            .contains("pressure"));
     }
 
     #[test]

@@ -63,7 +63,7 @@ const SEGMENT_EXT: &str = "tadc";
 const MAX_RECORD_BYTES: u32 = 1 << 28;
 
 /// FNV-1a 64 over raw bytes — the per-record checksum. (The hashing
-/// crate's FNV-1a 128 keys quantized `f64` streams; records here are
+/// crate's FNV-1a 128 keys `f64` bit patterns; records here are
 /// opaque bytes, and 64 bits of detection is plenty for torn writes
 /// and bit rot.)
 fn fnv1a64(bytes: &[u8]) -> u64 {

@@ -79,7 +79,7 @@
 //! per-request worker count was asked for — or whether the cache
 //! entry was computed in this process or recovered from disk (the
 //! spill codec round-trips exact bits). The solve cache keys on exact
-//! bits (quantum 0) and scenario runs share no mutable state, so the
+//! bits and scenario runs share no mutable state, so the
 //! service cannot drift from the batch CLI — `tadfa-load` replays the
 //! committed specs against a live server and CI fails if even one
 //! byte of fingerprint moves.
@@ -595,13 +595,12 @@ impl Server {
                 scenarios.push_str(", ");
             }
             scenarios.push_str(&format!(
-                "{{\"name\": {}, \"solver_mode\": {}, \"runs\": {}, \"analyzes\": {}, \
+                "{{\"name\": {}, \"runs\": {}, \"analyzes\": {}, \
                  \"module_analyzes\": {}, \
                  \"cache\": {{\"hits\": {}, \"misses\": {}, \"report_hits\": {}, \
                  \"entries\": {}, \"rejected_stores\": {}, \"summary_hits\": {}, \
                  \"summary_stores\": {}, \"preloaded\": {}}}",
                 escape(stem),
-                escape(env.prepared.config().dfa.solver_mode.as_str()),
                 env.runs.load(Ordering::Relaxed),
                 env.analyzes.load(Ordering::Relaxed),
                 env.module_analyzes.load(Ordering::Relaxed),

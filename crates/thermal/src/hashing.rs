@@ -1,23 +1,18 @@
-//! Quantized hashing of thermal maps and power vectors.
+//! Bit-exact hashing of thermal maps and power vectors.
 //!
 //! The batch engine in `tadfa-core` memoises thermal solves: when the
 //! same kernel appears repeatedly across a suite, its fixpoint
 //! re-derives an identical power profile, and the whole solve can be
 //! answered from a cache instead of re-iterated. The cache key — and
 //! the report fingerprints the engine's determinism tests compare — is
-//! a 128-bit FNV-1a hash over the *quantized* values of the inputs,
-//! computed with the [`Fnv128`] hasher in this module.
-//!
-//! Quantization is the hit-rate knob: with quantum `q > 0` every value
-//! is snapped to its nearest multiple of `q` before hashing, so inputs
-//! closer than `q` share a key (cheaper, approximate). With `q = 0`
-//! (the default everywhere) the raw IEEE-754 bit pattern is hashed —
-//! only *bit-identical* inputs collide, which is what lets the engine
+//! a 128-bit FNV-1a hash over the raw IEEE-754 bit patterns of the
+//! inputs, computed with the [`Fnv128`] hasher in this module. Only
+//! *bit-identical* inputs collide, which is what lets the engine
 //! guarantee byte-identical results with and without the cache.
 //!
-//! The 128-bit width makes accidental collisions of distinct quantized
-//! inputs negligible (birthday bound ≈ 2⁻⁶⁴ at 2³² entries), so callers
-//! may treat key equality as input equality without storing the inputs.
+//! The 128-bit width makes accidental collisions of distinct inputs
+//! negligible (birthday bound ≈ 2⁻⁶⁴ at 2³² entries), so callers may
+//! treat key equality as input equality without storing the inputs.
 
 /// FNV-1a 128-bit offset basis.
 pub const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c7d3;
@@ -67,17 +62,17 @@ impl Fnv128 {
         }
     }
 
-    /// Absorbs one `f64` under the given quantum (see [`quantize`]).
-    pub fn write_f64(&mut self, value: f64, quantum: f64) {
-        self.write_u64(quantize(value, quantum));
+    /// Absorbs one `f64` as its raw IEEE-754 bit pattern.
+    pub fn write_f64(&mut self, value: f64) {
+        self.write_u64(value.to_bits());
     }
 
-    /// Absorbs a whole `f64` slice under the given quantum, length
-    /// included (so a prefix never hashes equal to the full slice).
-    pub fn write_f64s(&mut self, values: &[f64], quantum: f64) {
+    /// Absorbs a whole `f64` slice, length included (so a prefix never
+    /// hashes equal to the full slice).
+    pub fn write_f64s(&mut self, values: &[f64]) {
         self.write_u64(values.len() as u64);
         for &v in values {
-            self.write_f64(v, quantum);
+            self.write_f64(v);
         }
     }
 
@@ -87,103 +82,29 @@ impl Fnv128 {
     }
 }
 
-/// Maps a value to the 64-bit word that represents it in a hash key.
-///
-/// * `quantum == 0`: the raw IEEE-754 bit pattern — two values collide
-///   only when bit-identical.
-/// * `quantum > 0`: the index of the nearest multiple of `quantum` —
-///   values closer than half a quantum share a word.
-///
-/// # Examples
-///
-/// ```
-/// use tadfa_thermal::hashing::quantize;
-///
-/// assert_eq!(quantize(318.15, 0.0), (318.15f64).to_bits());
-/// assert_eq!(quantize(318.150001, 0.01), quantize(318.15, 0.01));
-/// assert_ne!(quantize(318.16, 0.01), quantize(318.15, 0.01));
-/// ```
-pub fn quantize(value: f64, quantum: f64) -> u64 {
-    if quantum > 0.0 {
-        ((value / quantum).round() as i64) as u64
-    } else {
-        value.to_bits()
-    }
-}
-
-/// The key of one RC transient solve: inlet temperatures, power map,
-/// and step duration, each quantized by `quantum`.
-///
-/// The batch engine memoises at whole-fixpoint granularity (its key
-/// folds the entire power profile — see `ThermalDfa::signature` in
-/// `tadfa-core`); this finer-grained key suits callers memoising
-/// individual [`ThermalModel::step`](crate::ThermalModel::step) calls,
-/// e.g. under RC parameters where the stability sub-stepping makes a
-/// single transient solve expensive.
-pub fn step_key(temps: &[f64], power: &[f64], dt: f64, quantum: f64) -> u128 {
-    let mut h = Fnv128::new();
-    h.write_f64s(temps, quantum);
-    h.write_f64s(power, quantum);
-    h.write_f64(dt, quantum);
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn key(values: &[f64]) -> u128 {
+        let mut h = Fnv128::new();
+        h.write_f64s(values);
+        h.finish()
+    }
 
     #[test]
     fn exact_keys_distinguish_one_ulp() {
         let a: [f64; 2] = [300.0, 301.0];
         let mut b = a;
         b[1] = f64::from_bits(b[1].to_bits() + 1);
-        assert_ne!(
-            step_key(&a, &[0.0; 2], 1e-6, 0.0),
-            step_key(&b, &[0.0; 2], 1e-6, 0.0)
-        );
-        assert_eq!(
-            step_key(&a, &[0.0; 2], 1e-6, 0.0),
-            step_key(a.as_slice(), &[0.0; 2], 1e-6, 0.0)
-        );
-    }
-
-    #[test]
-    fn coarse_quantum_merges_close_inputs() {
-        let a = [300.0, 301.0];
-        let b = [300.0004, 300.9996];
-        assert_eq!(
-            step_key(&a, &[1e-6; 2], 1e-9, 1e-3),
-            step_key(&b, &[1e-6; 2], 1e-9, 1e-3)
-        );
-        assert_ne!(
-            step_key(&a, &[1e-6; 2], 1e-9, 0.0),
-            step_key(&b, &[1e-6; 2], 1e-9, 0.0)
-        );
+        assert_ne!(key(&a), key(&b));
+        assert_eq!(key(&a), key(a.as_slice()));
     }
 
     #[test]
     fn length_is_part_of_the_key() {
         // A two-element state must not hash like a three-element one
         // whose tail happens to line up.
-        let mut h2 = Fnv128::new();
-        h2.write_f64s(&[1.0, 2.0], 0.0);
-        let mut h3 = Fnv128::new();
-        h3.write_f64s(&[1.0, 2.0, 0.0], 0.0);
-        assert_ne!(h2.finish(), h3.finish());
-    }
-
-    #[test]
-    fn power_and_state_do_not_alias() {
-        // Same concatenation, different split: the length prefixes keep
-        // (temps=[a], power=[b,c]) distinct from (temps=[a,b], power=[c]).
-        let k1 = step_key(&[1.0], &[2.0, 3.0], 1.0, 0.0);
-        let k2 = step_key(&[1.0, 2.0], &[3.0], 1.0, 0.0);
-        assert_ne!(k1, k2);
-    }
-
-    #[test]
-    fn negative_values_quantize_consistently() {
-        assert_eq!(quantize(-1.0005, 1e-3), quantize(-1.0005, 1e-3));
-        assert_ne!(quantize(-1.0, 1e-3), quantize(1.0, 1e-3));
+        assert_ne!(key(&[1.0, 2.0]), key(&[1.0, 2.0, 0.0]));
     }
 }

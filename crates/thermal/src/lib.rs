@@ -24,7 +24,7 @@
 //!   leakage (the "technology coefficients" of §4);
 //! * [`ThermalState`] / [`MapStats`] — the dataflow fact and the summary
 //!   metrics (peak, gradient, σ) every experiment reports;
-//! * [`hashing`] — quantized 128-bit hashing of thermal maps and power
+//! * [`hashing`] — bit-exact 128-bit hashing of thermal maps and power
 //!   vectors, the key function of the batch engine's solve cache;
 //! * [`exp_neg`] — the platform-independent `e^{−x}` behind the modal
 //!   solver's RC decay factors (no libm call reaches a fingerprint);
@@ -73,5 +73,5 @@ pub use map::{render_ascii, render_ascii_auto, render_numeric, to_csv};
 pub use modal::{ModalSolver, ModalState};
 pub use power::{accumulate_scaled, PowerModel};
 pub use rc::{RcParams, SteadyStateOptions, SteadyStateStats, ThermalModel};
-pub use solver::{CompiledModel, LeakageParams, SolverMode, StepSchedule, StepScratch};
+pub use solver::{CompiledModel, LeakageParams, StepSchedule, StepScratch};
 pub use state::{MapStats, ThermalState};

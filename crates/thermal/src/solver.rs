@@ -62,48 +62,6 @@ use crate::lanes::{LANES, W8};
 use crate::rc::ThermalModel;
 use crate::state::ThermalState;
 
-/// Numeric contract a solve runs under.
-///
-/// The default, [`SolverMode::Exact`], preserves the naive solvers'
-/// floating-point operation order bit for bit — the contract every
-/// fingerprint, golden report, and cache key in the workspace is built
-/// on (see `docs/DETERMINISM.md`).
-///
-/// [`SolverMode::Fast`] is the opt-in reassociation-permitting variant:
-/// it precomputes `h / cap`, turning the per-cell `h·flow/cap` divide
-/// into a multiply. Results stay deterministic for a fixed build/machine
-/// but are **not** bit-identical to `Exact`; the divergence is bounded
-/// (asserted at ≤ 1e-9 K per transient step sequence in this crate's
-/// tests) and golden gates refuse it unless explicitly requested.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
-pub enum SolverMode {
-    /// Bit-exact kernels — the fingerprint-stable default.
-    #[default]
-    Exact,
-    /// Reassociation-permitting kernels with a bounded-divergence
-    /// contract. Never used unless explicitly configured.
-    Fast,
-}
-
-impl SolverMode {
-    /// The spec/JSON spelling (`"exact"` / `"fast"`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SolverMode::Exact => "exact",
-            SolverMode::Fast => "fast",
-        }
-    }
-
-    /// Parses the spec/JSON spelling accepted by scenario files.
-    pub fn parse(s: &str) -> Option<SolverMode> {
-        match s {
-            "exact" => Some(SolverMode::Exact),
-            "fast" => Some(SolverMode::Fast),
-            _ => None,
-        }
-    }
-}
-
 /// Caller-owned scratch for [`CompiledModel::step_into`] /
 /// [`ThermalModel::step_into`].
 ///
@@ -296,27 +254,15 @@ impl CompiledModel {
         dt: f64,
         scratch: &mut StepScratch,
     ) {
-        self.step_scheduled_into(state, power, &self.schedule(dt), scratch);
-    }
-
-    /// [`step_into`](CompiledModel::step_into) under a precomputed
-    /// [`StepSchedule`] — skips the per-call sub-step derivation.
-    #[inline]
-    pub fn step_scheduled_into(
-        &self,
-        state: &mut ThermalState,
-        power: &[f64],
-        sched: &StepSchedule,
-        scratch: &mut StepScratch,
-    ) {
         assert_eq!(power.len(), self.n, "power vector size mismatch");
         assert_eq!(state.len(), self.n, "state size mismatch");
         debug_assert!(power.iter().all(|&p| p >= 0.0), "negative power");
+        let sched = self.schedule(dt);
         if sched.n_sub == 0 {
             return;
         }
         scratch.ensure(self.n);
-        self.run_substeps::<false>(
+        self.run_substeps(
             state,
             power,
             sched.n_sub as usize,
@@ -352,79 +298,18 @@ impl CompiledModel {
         leak: Option<&LeakageParams>,
         scratch: &mut StepScratch,
     ) {
-        self.step_sparse_mode_into(state, deposits, sched, leak, SolverMode::Exact, scratch);
-    }
-
-    /// [`step_sparse_into`](CompiledModel::step_sparse_into) under an
-    /// explicit [`SolverMode`]. `Exact` is bit-identical to the naive
-    /// solvers; `Fast` obeys the bounded-divergence contract on
-    /// [`SolverMode`].
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use tadfa_thermal::{Floorplan, RcParams, SolverMode, StepScratch, ThermalModel};
-    ///
-    /// let model = ThermalModel::new(Floorplan::grid(4, 4), RcParams::default());
-    /// let solver = model.compile();
-    /// let sched = solver.schedule(1e-4);
-    /// let mut scratch = StepScratch::new();
-    ///
-    /// let mut exact = model.ambient_state();
-    /// let mut fast = model.ambient_state();
-    /// for _ in 0..100 {
-    ///     solver.step_sparse_mode_into(
-    ///         &mut exact, &[(5, 1e-3)], &sched, None, SolverMode::Exact, &mut scratch);
-    ///     solver.step_sparse_mode_into(
-    ///         &mut fast, &[(5, 1e-3)], &sched, None, SolverMode::Fast, &mut scratch);
-    /// }
-    /// // Fast reassociates (h·flow/cap → flow·(h/cap)) but stays within
-    /// // the documented divergence bound of the exact trajectory.
-    /// let diff = exact.linf_distance(&fast);
-    /// assert!(diff <= 1e-9, "divergence {diff}");
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// As [`step_sparse_into`](CompiledModel::step_sparse_into).
-    #[inline]
-    pub fn step_sparse_mode_into(
-        &self,
-        state: &mut ThermalState,
-        deposits: &[(u32, f64)],
-        sched: &StepSchedule,
-        leak: Option<&LeakageParams>,
-        mode: SolverMode,
-        scratch: &mut StepScratch,
-    ) {
-        match (leak, mode) {
-            (Some(lp), SolverMode::Exact) => {
-                self.sparse_impl::<true, false, false>(state, deposits, sched, lp, scratch, &mut [])
+        match leak {
+            Some(lp) => {
+                self.sparse_impl::<true, false>(state, deposits, sched, lp, scratch, &mut [])
             }
-            (Some(lp), SolverMode::Fast) => {
-                self.sparse_impl::<true, false, true>(state, deposits, sched, lp, scratch, &mut [])
+            None => {
+                self.sparse_impl::<false, false>(state, deposits, sched, &NO_LEAK, scratch, &mut [])
             }
-            (None, SolverMode::Exact) => self.sparse_impl::<false, false, false>(
-                state,
-                deposits,
-                sched,
-                &NO_LEAK,
-                scratch,
-                &mut [],
-            ),
-            (None, SolverMode::Fast) => self.sparse_impl::<false, false, true>(
-                state,
-                deposits,
-                sched,
-                &NO_LEAK,
-                scratch,
-                &mut [],
-            ),
         };
     }
 
-    /// [`step_sparse_mode_into`](CompiledModel::step_sparse_mode_into)
-    /// with the fixpoint's compare-and-copy **fused into the kernel**:
+    /// [`step_sparse_into`](CompiledModel::step_sparse_into) with the
+    /// fixpoint's compare-and-copy **fused into the kernel**:
     /// advances `state`, then returns the L∞ distance between the new
     /// temperatures and `prev` while overwriting `prev` with them — all
     /// in the same pass over the grid.
@@ -440,8 +325,7 @@ impl CompiledModel {
     /// # Examples
     ///
     /// ```
-    /// use tadfa_thermal::{Floorplan, RcParams, SolverMode, StepScratch, ThermalModel,
-    ///                     ThermalState};
+    /// use tadfa_thermal::{Floorplan, RcParams, StepScratch, ThermalModel, ThermalState};
     ///
     /// let model = ThermalModel::new(Floorplan::grid(4, 4), RcParams::default());
     /// let solver = model.compile();
@@ -451,8 +335,7 @@ impl CompiledModel {
     /// let mut tracked = model.ambient_state();
     /// let mut prev = vec![solver.ambient(); 16];
     /// let change = solver.step_sparse_tracked_into(
-    ///     &mut tracked, &[(5, 1e-3)], &sched, None, SolverMode::Exact,
-    ///     &mut scratch, &mut prev);
+    ///     &mut tracked, &[(5, 1e-3)], &sched, None, &mut scratch, &mut prev);
     ///
     /// // Bit-identical to stepping untracked and folding separately.
     /// let mut plain = model.ambient_state();
@@ -468,7 +351,6 @@ impl CompiledModel {
     ///
     /// As [`step_sparse_into`](CompiledModel::step_sparse_into), plus if
     /// `prev.len()` differs from the cell count.
-    #[allow(clippy::too_many_arguments)] // the DFA's innermost call: every arg is hot-path state
     #[inline]
     pub fn step_sparse_tracked_into(
         &self,
@@ -476,28 +358,21 @@ impl CompiledModel {
         deposits: &[(u32, f64)],
         sched: &StepSchedule,
         leak: Option<&LeakageParams>,
-        mode: SolverMode,
         scratch: &mut StepScratch,
         prev: &mut [f64],
     ) -> f64 {
         assert_eq!(prev.len(), self.n, "prev size mismatch");
-        match (leak, mode) {
-            (Some(lp), SolverMode::Exact) => {
-                self.sparse_impl::<true, true, false>(state, deposits, sched, lp, scratch, prev)
+        match leak {
+            Some(lp) => self.sparse_impl::<true, true>(state, deposits, sched, lp, scratch, prev),
+            None => {
+                self.sparse_impl::<false, true>(state, deposits, sched, &NO_LEAK, scratch, prev)
             }
-            (Some(lp), SolverMode::Fast) => {
-                self.sparse_impl::<true, true, true>(state, deposits, sched, lp, scratch, prev)
-            }
-            (None, SolverMode::Exact) => self
-                .sparse_impl::<false, true, false>(state, deposits, sched, &NO_LEAK, scratch, prev),
-            (None, SolverMode::Fast) => self
-                .sparse_impl::<false, true, true>(state, deposits, sched, &NO_LEAK, scratch, prev),
         }
     }
 
     /// The one sparse-stepping implementation behind the public
-    /// entries, monomorphized over leakage, change tracking, and mode.
-    fn sparse_impl<const LEAKY: bool, const TRACK: bool, const FAST: bool>(
+    /// entries, monomorphized over leakage and change tracking.
+    fn sparse_impl<const LEAKY: bool, const TRACK: bool>(
         &self,
         state: &mut ThermalState,
         deposits: &[(u32, f64)],
@@ -535,7 +410,7 @@ impl CompiledModel {
             for &(p, w) in deposits {
                 sparse_power[p as usize] += w;
             }
-            let change = self.substep_stencil::<LEAKY, TRACK, FAST>(
+            let change = self.substep_stencil::<LEAKY, TRACK>(
                 state.temps(),
                 sparse_power,
                 leak,
@@ -565,7 +440,7 @@ impl CompiledModel {
                 *pd += leak_at(leak, t);
             }
         }
-        self.run_substeps::<FAST>(
+        self.run_substeps(
             state,
             dense_power,
             sched.n_sub as usize,
@@ -579,7 +454,7 @@ impl CompiledModel {
     /// **final** sub-step fuses the compare-and-copy against the given
     /// previous temperatures and the L∞ change is returned.
     #[inline]
-    fn run_substeps<const FAST: bool>(
+    fn run_substeps(
         &self,
         state: &mut ThermalState,
         power: &[f64],
@@ -593,18 +468,10 @@ impl CompiledModel {
             let t = state.temps();
             match track.as_deref_mut() {
                 Some(prev) if k + 1 == n_sub => {
-                    change = self
-                        .substep_stencil::<false, true, FAST>(t, power, &NO_LEAK, next, prev, h);
+                    change = self.substep_stencil::<false, true>(t, power, &NO_LEAK, next, prev, h);
                 }
                 _ => {
-                    self.substep_stencil::<false, false, FAST>(
-                        t,
-                        power,
-                        &NO_LEAK,
-                        next,
-                        &mut [],
-                        h,
-                    );
+                    self.substep_stencil::<false, false>(t, power, &NO_LEAK, next, &mut [], h);
                 }
             }
             // The freshly computed temperatures become the state by
@@ -622,7 +489,7 @@ impl CompiledModel {
     /// in three bands (first, interior, last), each monomorphized over
     /// its vertical-neighbour pattern by [`CompiledModel::stencil_row`].
     /// Returns the tracked L∞ change (0.0 when `!TRACK`).
-    fn substep_stencil<const LEAKY: bool, const TRACK: bool, const FAST: bool>(
+    fn substep_stencil<const LEAKY: bool, const TRACK: bool>(
         &self,
         t: &[f64],
         power: &[f64],
@@ -631,7 +498,7 @@ impl CompiledModel {
         prev: &mut [f64],
         h: f64,
     ) -> f64 {
-        let ctx = LaneCtx::new(self, leak, h, FAST);
+        let ctx = LaneCtx::new(self, leak, h);
         let rows = self.rows;
         // Exactly-one-chunk rows (the 8-wide register files every
         // shipped floorplan uses) take the specialized whole-grid pass:
@@ -639,7 +506,7 @@ impl CompiledModel {
         // edges — bit-identical by the same masked-conductance argument
         // as the lateral edges.
         if self.cols == LANES {
-            return self.stencil_pass_w8::<LEAKY, TRACK, FAST>(t, power, next, prev, &ctx);
+            return self.stencil_pass_w8::<LEAKY, TRACK>(t, power, next, prev, &ctx);
         }
         // Lane-wise change accumulators are folded across all rows and
         // reduced to a scalar exactly once — `max` is exactly
@@ -648,25 +515,23 @@ impl CompiledModel {
         // single most expensive instruction sequence in the pass.
         let (mut vacc, mut sacc) = (ctx.zero, 0.0f64);
         if rows == 1 {
-            let (v, s) = self.stencil_row::<LEAKY, false, false, TRACK, FAST>(
-                t, power, leak, next, prev, 0, h, &ctx,
-            );
+            let (v, s) = self
+                .stencil_row::<LEAKY, false, false, TRACK>(t, power, leak, next, prev, 0, h, &ctx);
             vacc = v;
             sacc = s;
         } else {
-            let (v, s) = self.stencil_row::<LEAKY, false, true, TRACK, FAST>(
-                t, power, leak, next, prev, 0, h, &ctx,
-            );
+            let (v, s) = self
+                .stencil_row::<LEAKY, false, true, TRACK>(t, power, leak, next, prev, 0, h, &ctx);
             vacc = vacc.max(v);
             sacc = sacc.max(s);
             for r in 1..rows - 1 {
-                let (v, s) = self.stencil_row::<LEAKY, true, true, TRACK, FAST>(
+                let (v, s) = self.stencil_row::<LEAKY, true, true, TRACK>(
                     t, power, leak, next, prev, r, h, &ctx,
                 );
                 vacc = vacc.max(v);
                 sacc = sacc.max(s);
             }
-            let (v, s) = self.stencil_row::<LEAKY, true, false, TRACK, FAST>(
+            let (v, s) = self.stencil_row::<LEAKY, true, false, TRACK>(
                 t,
                 power,
                 leak,
@@ -704,7 +569,7 @@ impl CompiledModel {
     /// compare-and-overwrite semantics match
     /// [`stencil_row`](Self::stencil_row).
     #[inline(always)]
-    fn stencil_pass_w8<const LEAKY: bool, const TRACK: bool, const FAST: bool>(
+    fn stencil_pass_w8<const LEAKY: bool, const TRACK: bool>(
         &self,
         t: &[f64],
         power: &[f64],
@@ -757,11 +622,7 @@ impl CompiledModel {
                 flow = flow.sub(ti.sub(down).mul(gd));
                 flow = flow.sub(ti.sub(ti.shift_head_dup()).mul(ctx.gl_first));
                 flow = flow.sub(ti.sub(ti.shift_tail_dup()).mul(ctx.gr_last));
-                let out_v = if FAST {
-                    ti.add(flow.mul(ctx.step)) // step = h/cap
-                } else {
-                    ti.add(ctx.step.mul(flow).div(ctx.cap)) // step = h
-                };
+                let out_v = ti.add(ctx.h.mul(flow).div(ctx.cap));
                 out_v.store(np.add(base));
                 if TRACK {
                     let pv = W8::load(prevp.add(base));
@@ -799,8 +660,7 @@ impl CompiledModel {
     /// order matches the naive solver exactly: leakage
     /// `(pc·(1+co·(T−Tr))).max(0)`, then `flow = pw − (T−amb)·g_vert`,
     /// then the up/down/left/right conductance terms in
-    /// `Floorplan::neighbors` order, then `T + h·flow/cap`
-    /// (`T + flow·(h/cap)` under `FAST`).
+    /// `Floorplan::neighbors` order, then `T + h·flow/cap`.
     ///
     /// Returns this row's tracked change as a `(lane, scalar-tail)`
     /// accumulator pair — the caller folds rows lane-wise and performs
@@ -810,13 +670,7 @@ impl CompiledModel {
     /// so the split accumulators cannot change the result).
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn stencil_row<
-        const LEAKY: bool,
-        const UP: bool,
-        const DOWN: bool,
-        const TRACK: bool,
-        const FAST: bool,
-    >(
+    fn stencil_row<const LEAKY: bool, const UP: bool, const DOWN: bool, const TRACK: bool>(
         &self,
         t: &[f64],
         power: &[f64],
@@ -886,11 +740,7 @@ impl CompiledModel {
             };
             let gr = if last { ctx.gr_last } else { ctx.g };
             flow = flow.sub(ti.sub(right).mul(gr));
-            let out_v = if FAST {
-                ti.add(flow.mul(ctx.step)) // step = h/cap
-            } else {
-                ti.add(ctx.step.mul(flow).div(ctx.cap)) // step = h
-            };
+            let out_v = ti.add(ctx.h.mul(flow).div(ctx.cap));
             out_v.write(&mut out[c0..]);
             if TRACK {
                 let pv = W8::read(&prow[c0..]);
@@ -922,11 +772,7 @@ impl CompiledModel {
             if c + 1 < cols {
                 flow -= (ti - row[c + 1]) * g_lat;
             }
-            let nv = if FAST {
-                ti + flow * ctx.hcap
-            } else {
-                ti + h * flow / cap
-            };
+            let nv = ti + h * flow / cap;
             out[c] = nv;
             if TRACK {
                 scalar_acc = scalar_acc.max((nv - prow[c]).abs());
@@ -953,10 +799,9 @@ struct LaneCtx {
     gr_last: W8,
     /// Ambient splat.
     amb: W8,
-    /// `h` under Exact (the update is `h·flow/cap`), `h/cap` under
-    /// Fast (the update is `flow·(h/cap)`).
-    step: W8,
-    /// `cap` splat (read only by the Exact update).
+    /// Sub-step size splat (the update is `h·flow/cap`).
+    h: W8,
+    /// `cap` splat.
     cap: W8,
     /// Leakage `per_cell` splat.
     pc: W8,
@@ -968,32 +813,25 @@ struct LaneCtx {
     one: W8,
     /// `+0.0` splat (leak clamp + change accumulator seed).
     zero: W8,
-    /// Scalar `h/cap` for the fast-mode tail cells.
-    hcap: f64,
 }
 
 impl LaneCtx {
     #[inline]
-    fn new(m: &CompiledModel, leak: &LeakageParams, h: f64, fast: bool) -> LaneCtx {
+    fn new(m: &CompiledModel, leak: &LeakageParams, h: f64) -> LaneCtx {
         let l = &m.lanes;
-        // The scalar divide (and its lane broadcast) is paid only by
-        // the reassociation-permitting fast mode; the exact update
-        // divides by `cap` inside the kernel instead.
-        let hcap = if fast { h / m.cap } else { h };
         LaneCtx {
             gv: l.gv,
             g: l.g,
             gl_first: l.gl_first,
             gr_last: l.gr_last,
             amb: l.amb,
-            step: W8::splat(if fast { hcap } else { h }),
+            h: W8::splat(h),
             cap: l.cap,
             pc: W8::splat(leak.per_cell),
             co: W8::splat(leak.temp_coeff),
             tr: W8::splat(leak.reference_temp),
             one: l.one,
             zero: l.zero,
-            hcap,
         }
     }
 }
@@ -1140,14 +978,16 @@ mod tests {
         c.step_sparse_into(&mut s, &[(0, 1e-3)], &zero, None, &mut StepScratch::new());
         assert_eq!(s.temps(), before.temps(), "zero dt is a no-op");
 
-        // Scheduled and unscheduled stepping agree bit for bit.
+        // A precomputed schedule steps exactly as `step_into` derives
+        // it per call, bit for bit.
         let power = hot_power(16);
+        let deposits = [(0, power[0]), (8, power[8])];
         for dt in [1e-6, 4e-4, 2e-3] {
             let sched = c.schedule(dt);
             let mut a = c.ambient_state();
             let mut b = c.ambient_state();
             let mut scratch = StepScratch::new();
-            c.step_scheduled_into(&mut a, &power, &sched, &mut scratch);
+            c.step_sparse_into(&mut a, &deposits, &sched, None, &mut scratch);
             c.step_into(&mut b, &power, dt, &mut scratch);
             assert_eq!(a.temps(), b.temps(), "dt={dt}");
         }

@@ -12,8 +12,7 @@
 //!   analysis grids.
 
 use tadfa_thermal::{
-    Floorplan, LeakageParams, RcParams, SolverMode, SteadyStateOptions, StepScratch, ThermalModel,
-    ThermalState,
+    Floorplan, LeakageParams, RcParams, SteadyStateOptions, StepScratch, ThermalModel, ThermalState,
 };
 
 /// Deterministic xorshift64* generator — enough randomness for property
@@ -196,18 +195,10 @@ fn tracked_sparse_path_matches_untracked_plus_separate_linf() {
                 &deposits,
                 &sched,
                 leak_opt,
-                SolverMode::Exact,
                 &mut scratch,
                 &mut prev_tracked,
             );
-            solver.step_sparse_mode_into(
-                &mut untracked,
-                &deposits,
-                &sched,
-                leak_opt,
-                SolverMode::Exact,
-                &mut scratch,
-            );
+            solver.step_sparse_into(&mut untracked, &deposits, &sched, leak_opt, &mut scratch);
             let delta_untracked =
                 ThermalState::linf_update_slices(&mut prev_untracked, untracked.temps());
 
@@ -230,60 +221,6 @@ fn tracked_sparse_path_matches_untracked_plus_separate_linf() {
                 leak_opt.is_some()
             );
         }
-    }
-}
-
-#[test]
-fn fast_mode_divergence_stays_bounded() {
-    // `SolverMode::Fast` may reassociate (a precomputed h/C factor), so
-    // it is NOT bit-identical — its contract is a bounded divergence
-    // from Exact: ≤ 1e-9 K over a 100-step transient (see
-    // docs/DETERMINISM.md).
-    let mut rng = Rng(0xfa57_0000_b07d_ed00);
-    for &(rows, cols) in SHAPES {
-        let model = ThermalModel::new(Floorplan::grid(rows, cols), RcParams::default());
-        let solver = model.compile();
-        let n = rows * cols;
-        let power = random_power(&mut rng, n);
-        let deposits: Vec<(u32, f64)> = power
-            .iter()
-            .enumerate()
-            .filter(|(_, &p)| p > 0.0)
-            .map(|(i, &p)| (i as u32, p))
-            .collect();
-        let sched = solver.schedule(5e-4);
-
-        let mut exact = model.ambient_state();
-        let mut fast = model.ambient_state();
-        let mut scratch = StepScratch::new();
-        for _ in 0..100 {
-            solver.step_sparse_mode_into(
-                &mut exact,
-                &deposits,
-                &sched,
-                None,
-                SolverMode::Exact,
-                &mut scratch,
-            );
-            solver.step_sparse_mode_into(
-                &mut fast,
-                &deposits,
-                &sched,
-                None,
-                SolverMode::Fast,
-                &mut scratch,
-            );
-        }
-        let transient_div = exact
-            .temps()
-            .iter()
-            .zip(fast.temps())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
-        assert!(
-            transient_div <= 1e-9,
-            "{rows}x{cols}: transient fast-mode divergence {transient_div:e} > 1e-9 K"
-        );
     }
 }
 

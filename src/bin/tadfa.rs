@@ -19,8 +19,8 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use tadfa::sched::{
-    golden_gate_guard, json, load_spec, render_report, run_scenario, ScenarioConfig,
-    ScenarioResult, DTM_POLICY_INFO, MAPPING_POLICY_INFO,
+    json, load_spec, render_report, run_scenario, ScenarioConfig, ScenarioResult, DTM_POLICY_INFO,
+    MAPPING_POLICY_INFO,
 };
 
 const USAGE: &str = "\
@@ -28,16 +28,14 @@ tadfa — multi-core thermal scenario runner
 
 USAGE:
     tadfa run <spec.toml|spec.json> [--out <file>] [--workers N]
-    tadfa check <spec> --expected <report.json> [--workers N] [--allow-fast]
+    tadfa check <spec> --expected <report.json> [--workers N]
     tadfa policies
     tadfa help
 
 `run` prints the deterministic JSON report to stdout (or --out FILE).
 `check` re-runs the spec and compares the scenario fingerprint against
-the expected report — the CI golden gate. Specs requesting the
-reassociation-permitting `solver = \"fast\"` are refused by `check`
-unless --allow-fast is given (golden fingerprints are exact-mode
-contracts). `policies` lists the built-in mapping and DTM policies.";
+the expected report — the CI golden gate. `policies` lists the built-in
+mapping and DTM policies.";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -73,7 +71,6 @@ struct CommonArgs {
     workers: Option<usize>,
     out: Option<PathBuf>,
     expected: Option<PathBuf>,
-    allow_fast: bool,
 }
 
 fn parse_args(args: &[String]) -> Result<CommonArgs, String> {
@@ -81,7 +78,6 @@ fn parse_args(args: &[String]) -> Result<CommonArgs, String> {
     let mut workers = None;
     let mut out = None;
     let mut expected = None;
-    let mut allow_fast = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -96,7 +92,6 @@ fn parse_args(args: &[String]) -> Result<CommonArgs, String> {
             "--expected" => {
                 expected = Some(PathBuf::from(it.next().ok_or("--expected needs a path")?))
             }
-            "--allow-fast" => allow_fast = true,
             flag if flag.starts_with("--") => return Err(format!("unknown flag '{flag}'")),
             path if spec.is_none() => spec = Some(PathBuf::from(path)),
             extra => return Err(format!("unexpected argument '{extra}'")),
@@ -107,7 +102,6 @@ fn parse_args(args: &[String]) -> Result<CommonArgs, String> {
         workers,
         out,
         expected,
-        allow_fast,
     })
 }
 
@@ -201,10 +195,6 @@ fn cmd_check(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if let Err(e) = golden_gate_guard(&cfg, args.allow_fast) {
-        eprintln!("{e}");
-        return ExitCode::from(2);
-    }
     let result = match execute(&cfg) {
         Ok(r) => r,
         Err(e) => {

@@ -46,9 +46,8 @@ fn parallel_batch_is_byte_identical_to_sequential() {
     }
 }
 
-/// Warm-cache reports are bit-equal to the cold run's: at quantum 0 the
-/// cache only ever answers with the exact output of a bit-identical
-/// input.
+/// Warm-cache reports are bit-equal to the cold run's: the cache only
+/// ever answers with the exact output of a bit-identical input.
 #[test]
 fn warm_cache_reports_are_bit_equal_to_cold() {
     let session = Session::builder().floorplan(8, 8).build().unwrap();

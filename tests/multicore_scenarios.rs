@@ -181,52 +181,3 @@ fn committed_scenarios_match_their_golden_reports() {
         "expected ≥10 committed scenarios (incl. covert/DTM family), found {checked}"
     );
 }
-
-/// The golden gate refuses fast-mode specs: committed fingerprints are
-/// exact-solver contracts, so a scenario requesting the
-/// reassociation-permitting `solver = "fast"` must be rejected by
-/// `tadfa check` unless `--allow-fast` is passed — and every committed
-/// spec must itself be exact-mode, or the golden job would refuse it.
-#[test]
-fn golden_gate_rejects_fast_mode_unless_opted_in() {
-    use tadfa::sched::golden_gate_guard;
-
-    let die = MultiCoreFloorplan::new(2, 4, 4, RcParams::default(), Some(40.0)).unwrap();
-    let mut cfg = ScenarioConfig::new("fast-spec", die, suite_tasks(4, 5e-4, 1e-3), "coolest-core");
-    assert_eq!(cfg.dfa.solver_mode, SolverMode::Exact);
-    assert!(
-        golden_gate_guard(&cfg, false).is_ok(),
-        "exact always passes"
-    );
-
-    cfg.dfa.solver_mode = SolverMode::Fast;
-    let err = golden_gate_guard(&cfg, false).expect_err("fast must be refused");
-    assert!(
-        err.contains("--allow-fast"),
-        "refusal names the escape hatch: {err}"
-    );
-    assert!(
-        golden_gate_guard(&cfg, true).is_ok(),
-        "--allow-fast gates fast deliberately"
-    );
-
-    // Committed specs stay exact-mode so the golden job accepts them.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    for path in std::fs::read_dir(root.join("scenarios"))
-        .expect("scenarios/ exists")
-        .map(|e| e.unwrap().path())
-        .filter(|p| {
-            matches!(
-                p.extension().and_then(|e| e.to_str()),
-                Some("toml" | "json")
-            )
-        })
-    {
-        let cfg = load_spec(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        assert!(
-            golden_gate_guard(&cfg, false).is_ok(),
-            "committed spec {} would be refused by the golden gate",
-            path.display()
-        );
-    }
-}

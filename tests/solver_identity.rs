@@ -184,7 +184,7 @@ fn generated_traffic_matches_the_oracle_state_by_state() {
                 .into_iter()
                 .filter(|&(_, id)| f.inst(id).op == Opcode::Call)
                 .count();
-            summaries.insert(f.name().to_string(), Arc::new(dfa.summarize(0.0)));
+            summaries.insert(f.name().to_string(), Arc::new(dfa.summarize()));
         }
     }
     assert!(calls > 0, "the modules exercise call-site replay");
