@@ -34,24 +34,22 @@ use crate::config::{Convergence, MergeRule, ThermalDfaConfig};
 use crate::error::TadfaError;
 use crate::grid::AnalysisGrid;
 use crate::summary::{SummaryStep, ThermalSummary};
+use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use tadfa_ir::{BlockId, Cfg, Function, Inst, InstId, Opcode, Terminator, VReg};
 use tadfa_regalloc::Assignment;
 use tadfa_thermal::{LeakageParams, PowerModel, StepSchedule, StepScratch, ThermalState};
 
 /// Reusable buffers for one worker's fixpoint runs.
 ///
-/// The inner loop of the DFA builds a per-instruction access list and
-/// steps the RC solver; a fresh allocation per instruction is
-/// measurable on large batches. Holding a [`DfaScratch`] per worker
-/// (the engine does) or per session reuses the buffers — including the
-/// compiled solver's [`StepScratch`] — across every instruction of
+/// The inner loop of the DFA steps the RC solver once per instruction;
+/// a fresh allocation per step is measurable on large batches. Holding
+/// a [`DfaScratch`] per worker (the engine does) or per session reuses
+/// the compiled solver's [`StepScratch`] across every instruction of
 /// every function. It also counts the sweeps' [`BlockVisits`].
 #[derive(Debug, Default)]
 pub struct DfaScratch {
-    /// Per-instruction `(analysis point, energy)` access pairs.
-    accesses: Vec<(usize, f64)>,
     /// Transient-solver scratch for the compiled kernels.
     step: StepScratch,
     /// Block visits of every sweep run through this scratch.
@@ -84,6 +82,7 @@ pub struct BlockVisits {
 /// divided by the natural duration — its step duration, and the
 /// leakage coefficients in kernel form. It is the production
 /// [`Stepper`].
+#[derive(Debug)]
 struct StepPlan {
     /// Per-instruction (arena-slot-indexed) deposit span + schedule.
     inst: Vec<PlanSpan>,
@@ -97,7 +96,7 @@ struct StepPlan {
 }
 
 /// One instruction's slice of the [`StepPlan`].
-#[derive(Copy, Clone)]
+#[derive(Copy, Clone, Debug)]
 struct PlanSpan {
     start: u32,
     end: u32,
@@ -148,7 +147,7 @@ trait Stepper {
 /// The production stepper: sparse deposits through the compiled
 /// stencil kernel, allocation-free and O(accesses) outside the solver,
 /// with the change tracking fused into the kernel's store loop.
-impl Stepper for StepPlan {
+impl Stepper for &StepPlan {
     const SKIPS_CLEAN_BLOCKS: bool = true;
 
     #[inline]
@@ -308,14 +307,19 @@ fn store_changed(stored: &mut [f64], new: &[f64]) -> bool {
 /// ```
 #[derive(Debug)]
 pub struct ThermalDfa<'a> {
-    func: &'a Function,
-    assignment: &'a Assignment,
+    /// The allocated function and its assignment, borrowed or owned.
+    func: Cow<'a, Function>,
+    assignment: Cow<'a, Assignment>,
     grid: &'a AnalysisGrid,
     power_model: PowerModel,
     config: ThermalDfaConfig,
     /// Per-call-site callee summary, indexed by arena slot; empty for
     /// call-free functions (the intraprocedural common case).
     call_summaries: Vec<Option<Arc<ThermalSummary>>>,
+    cfg: Cfg,
+    /// Built on first need, then shared by the summary and every run.
+    signature: OnceLock<u128>,
+    plan: OnceLock<StepPlan>,
 }
 
 impl<'a> ThermalDfa<'a> {
@@ -335,24 +339,8 @@ impl<'a> ThermalDfa<'a> {
         power_model: PowerModel,
         config: ThermalDfaConfig,
     ) -> Result<ThermalDfa<'a>, TadfaError> {
-        config.validate()?;
-        for (_bb, id) in func.inst_ids_in_layout_order() {
-            let inst = func.inst(id);
-            if inst.op == Opcode::Call {
-                return Err(TadfaError::CallsRequireModule {
-                    function: func.name().to_string(),
-                    callee: inst.callee_name().unwrap_or("?").to_string(),
-                });
-            }
-        }
-        Ok(ThermalDfa {
-            func,
-            assignment,
-            grid,
-            power_model,
-            config,
-            call_summaries: Vec::new(),
-        })
+        let (func, assignment) = (Cow::Borrowed(func), Cow::Borrowed(assignment));
+        ThermalDfa::build(func, assignment, grid, power_model, config, None)
     }
 
     /// Creates the call-aware analysis: every `call` in `func` is
@@ -376,6 +364,20 @@ impl<'a> ThermalDfa<'a> {
         config: ThermalDfaConfig,
         summaries: &HashMap<String, Arc<ThermalSummary>>,
     ) -> Result<ThermalDfa<'a>, TadfaError> {
+        let (func, assignment) = (Cow::Borrowed(func), Cow::Borrowed(assignment));
+        ThermalDfa::build(func, assignment, grid, power_model, config, Some(summaries))
+    }
+
+    /// [`with_summaries`](Self::with_summaries), or [`new`](Self::new)
+    /// without `summaries`, over a function and assignment it may own.
+    pub(crate) fn build(
+        func: Cow<'a, Function>,
+        assignment: Cow<'a, Assignment>,
+        grid: &'a AnalysisGrid,
+        power_model: PowerModel,
+        config: ThermalDfaConfig,
+        summaries: Option<&HashMap<String, Arc<ThermalSummary>>>,
+    ) -> Result<ThermalDfa<'a>, TadfaError> {
         config.validate()?;
         let mut call_summaries: Vec<Option<Arc<ThermalSummary>>> = Vec::new();
         for (_bb, id) in func.inst_ids_in_layout_order() {
@@ -384,6 +386,12 @@ impl<'a> ThermalDfa<'a> {
                 continue;
             }
             let callee = inst.callee_name().unwrap_or("?");
+            let Some(summaries) = summaries else {
+                return Err(TadfaError::CallsRequireModule {
+                    function: func.name().to_string(),
+                    callee: callee.to_string(),
+                });
+            };
             let sum = summaries
                 .get(callee)
                 .ok_or_else(|| TadfaError::MissingSummary {
@@ -402,13 +410,21 @@ impl<'a> ThermalDfa<'a> {
             call_summaries[id.index()] = Some(Arc::clone(sum));
         }
         Ok(ThermalDfa {
+            cfg: Cfg::compute(&func),
             func,
             assignment,
             grid,
             power_model,
             config,
             call_summaries,
+            signature: OnceLock::new(),
+            plan: OnceLock::new(),
         })
+    }
+
+    /// The analysed function and its assignment.
+    pub(crate) fn into_parts(self) -> (Function, Assignment) {
+        (self.func.into_owned(), self.assignment.into_owned())
     }
 
     /// The callee summary attached to a call site, if any.
@@ -457,8 +473,8 @@ impl<'a> ThermalDfa<'a> {
     /// one pass over the program in control-flow order, after which the
     /// fixpoint's sweeps never re-derive accesses, energies, or
     /// durations.
-    fn build_plan(&self, cfg: &Cfg, accesses: &mut Vec<(usize, f64)>) -> StepPlan {
-        let func = self.func;
+    fn build_plan(&self) -> StepPlan {
+        let func = &*self.func;
         let empty = PlanSpan {
             start: 0,
             end: 0,
@@ -470,17 +486,18 @@ impl<'a> ThermalDfa<'a> {
             deposits: Vec::new(),
             leak: self.power_model.leakage_params(),
         };
-        for &bb in cfg.rpo() {
+        let mut accesses = Vec::new();
+        for &bb in self.cfg.rpo() {
             for &id in func.block(bb).insts() {
                 let inst = func.inst(id);
-                self.fill_access_energies(inst, accesses);
+                self.fill_access_energies(inst, &mut accesses);
                 plan.inst[id.index()] =
-                    self.push_deposits(&mut plan.deposits, accesses, inst.op.latency());
+                    self.push_deposits(&mut plan.deposits, &accesses, inst.op.latency());
             }
             if let Some(t) = func.terminator(bb) {
-                self.fill_term_energies(t, accesses);
+                self.fill_term_energies(t, &mut accesses);
                 plan.term[bb.index()] =
-                    self.push_deposits(&mut plan.deposits, accesses, t.latency());
+                    self.push_deposits(&mut plan.deposits, &accesses, t.latency());
             }
         }
         plan
@@ -526,12 +543,10 @@ impl<'a> ThermalDfa<'a> {
     /// keyed by exact bit pattern, so equal signatures imply
     /// bit-identical fixpoint results.
     pub fn signature(&self) -> u128 {
-        self.signature_with(&Cfg::compute(self.func))
+        *self.signature.get_or_init(|| self.hash_profile())
     }
 
-    /// [`signature`](ThermalDfa::signature) over a CFG the caller
-    /// already computed (the fixpoint needs the same one).
-    fn signature_with(&self, cfg: &Cfg) -> u128 {
+    fn hash_profile(&self) -> u128 {
         let mut h = tadfa_thermal::hashing::Fnv128::new();
         // Grid + RC model. The grid's shape (not just its point count)
         // is part of the key: two equal-area coarsenings (e.g. 2×8 and
@@ -565,14 +580,14 @@ impl<'a> ThermalDfa<'a> {
         h.write_f64(self.power_model.reference_temp);
         // The power profile: result vectors are indexed by arena slot
         // and block id, so fold the ids in alongside the accesses.
-        let func = self.func;
+        let func = &*self.func;
         let mut accesses: Vec<(usize, f64)> = Vec::new();
         h.write_u64(func.arena_len() as u64);
         h.write_u64(func.num_blocks() as u64);
         h.write_u64(func.entry().index() as u64);
-        for &bb in cfg.rpo() {
+        for &bb in self.cfg.rpo() {
             h.write_u64(bb.index() as u64);
-            let preds = cfg.preds(bb);
+            let preds = self.cfg.preds(bb);
             h.write_u64(preds.len() as u64);
             for p in preds {
                 h.write_u64(p.index() as u64);
@@ -617,9 +632,7 @@ impl<'a> ThermalDfa<'a> {
     /// leakage feedback, because it runs the same solver steps the
     /// sweeps run.
     pub fn summarize(&self) -> ThermalSummary {
-        let cfg = Cfg::compute(self.func);
-        let mut accesses = Vec::new();
-        let plan = self.build_plan(&cfg, &mut accesses);
+        let plan = self.plan.get_or_init(|| self.build_plan());
         let mut steps: Vec<SummaryStep> = Vec::new();
         let mut deposits: Vec<(u32, f64)> = Vec::new();
         let push_span = |site: Site, steps: &mut Vec<SummaryStep>, deposits: &mut Vec<_>| {
@@ -632,8 +645,8 @@ impl<'a> ThermalDfa<'a> {
                 sched: *sched,
             });
         };
-        let func = self.func;
-        for &bb in cfg.rpo() {
+        let func = &*self.func;
+        for &bb in self.cfg.rpo() {
             for &id in func.block(bb).insts() {
                 push_span(Site::Inst(id), &mut steps, &mut deposits);
                 if let Some(sum) = self.call_summary(id) {
@@ -650,14 +663,14 @@ impl<'a> ThermalDfa<'a> {
             plan.leak,
             self.config.leakage_feedback,
             self.grid.num_points(),
-            self.signature_with(&cfg),
+            self.signature(),
         )
     }
 
     /// Runs the fixpoint iteration of Fig. 2 and returns the thermal
     /// state following each instruction.
     pub fn run(&self) -> ThermalDfaResult {
-        self.solve(&Cfg::compute(self.func), &mut DfaScratch::default())
+        self.solve(&mut DfaScratch::default())
     }
 
     /// [`run`](ThermalDfa::run) through the naive oracle stepper: every
@@ -669,11 +682,7 @@ impl<'a> ThermalDfa<'a> {
     /// honest baseline; production callers want
     /// [`run`](ThermalDfa::run) / [`run_with`](ThermalDfa::run_with).
     pub fn run_reference(&self) -> ThermalDfaResult {
-        self.fixpoint(
-            &Cfg::compute(self.func),
-            &mut Naive::default(),
-            &mut DfaScratch::default(),
-        )
+        self.fixpoint(&mut Naive::default(), &mut DfaScratch::default())
     }
 
     /// [`run`](ThermalDfa::run) with caller-owned scratch buffers and an
@@ -688,35 +697,29 @@ impl<'a> ThermalDfa<'a> {
         scratch: &mut DfaScratch,
         cache: Option<&SolveCache>,
     ) -> Arc<ThermalDfaResult> {
-        let cfg = Cfg::compute(self.func);
         match cache {
             Some(cache) => {
-                let key = self.signature_with(&cfg);
+                let key = self.signature();
                 if let Some(hit) = cache.fetch(key) {
                     return hit;
                 }
-                let result = Arc::new(self.solve(&cfg, scratch));
+                let result = Arc::new(self.solve(scratch));
                 cache.store(key, &result);
                 result
             }
-            None => Arc::new(self.solve(&cfg, scratch)),
+            None => Arc::new(self.solve(scratch)),
         }
     }
 
     /// The production fixpoint: the compiled [`StepPlan`] as stepper.
-    fn solve(&self, cfg: &Cfg, scratch: &mut DfaScratch) -> ThermalDfaResult {
-        let mut plan = self.build_plan(cfg, &mut scratch.accesses);
-        self.fixpoint(cfg, &mut plan, scratch)
+    fn solve(&self, scratch: &mut DfaScratch) -> ThermalDfaResult {
+        let mut plan = self.plan.get_or_init(|| self.build_plan());
+        self.fixpoint(&mut plan, scratch)
     }
 
     /// The Fig. 2 iteration itself.
-    fn fixpoint<S: Stepper>(
-        &self,
-        cfg: &Cfg,
-        stepper: &mut S,
-        scratch: &mut DfaScratch,
-    ) -> ThermalDfaResult {
-        let func = self.func;
+    fn fixpoint<S: Stepper>(&self, stepper: &mut S, scratch: &mut DfaScratch) -> ThermalDfaResult {
+        let func = &*self.func;
         let n = self.grid.num_points();
         let initial = self.grid.model().ambient_state();
         let mut state = SweepState {
@@ -738,7 +741,7 @@ impl<'a> ThermalDfa<'a> {
         };
 
         for iteration in 1..=self.config.max_iterations {
-            let max_change = self.sweep(cfg, stepper, &mut state, scratch);
+            let max_change = self.sweep(stepper, &mut state, scratch);
 
             // The first sweep necessarily "changes" everything from
             // nothing; record it as infinite residual but never converge
@@ -790,12 +793,11 @@ impl<'a> ThermalDfa<'a> {
     /// which `f64::max` drops).
     fn sweep<S: Stepper>(
         &self,
-        cfg: &Cfg,
         stepper: &mut S,
         state: &mut SweepState,
         scratch: &mut DfaScratch,
     ) -> f64 {
-        let func = self.func;
+        let (func, cfg) = (&*self.func, &self.cfg);
         let SweepState {
             initial,
             walker,

@@ -16,18 +16,20 @@
 //!   its RC model *and* its compiled solver plan — one
 //!   [`CompiledModel`](tadfa_thermal::CompiledModel) behind an `Arc`,
 //!   stepped by every worker) and the [`SolveCache`].
-//! * **Per worker:** one freshly instantiated assignment policy per
-//!   item (from the engine's [`PolicyFactory`]) and one reusable
-//!   [`DfaScratch`] buffer set — the plan's access list and the
-//!   solver's step scratch, whose sparse power buffer is reset in
-//!   O(accesses) per instruction.
+//! * **Per worker:** one reusable [`DfaScratch`] — the solver's step
+//!   scratch, whose sparse power buffer is reset in O(accesses) per
+//!   instruction.
 //! * **Per item:** an independent `Result` slot — a function that fails
 //!   allocation produces its own `Err` without disturbing the rest of
 //!   the batch, and results are returned in input order regardless of
-//!   which worker finished first.
+//!   which worker finished first. A batch item allocates under a
+//!   freshly instantiated policy from the engine's [`PolicyFactory`];
+//!   a module member was already allocated, once, by the sequential
+//!   summary phase that precedes the pool (see
+//!   [`Engine::analyze_module`]).
 //!
-//! Because policies are instantiated fresh per item and the solve
-//! cache keys on exact bits, the engine's reports are
+//! Because every allocation starts from the same policy state and the
+//! solve cache keys on exact bits, the engine's reports are
 //! **byte-identical** to the sequential session's, in the same order —
 //! `tests/engine_parallel.rs` asserts this fingerprint by fingerprint.
 //!
@@ -55,19 +57,17 @@ use crate::config::ThermalDfaConfig;
 use crate::critical::CriticalConfig;
 use crate::dfa::DfaScratch;
 use crate::error::TadfaError;
-use crate::session::{ModuleReport, Session, SessionCore, ThermalReport};
-use crate::summary::ThermalSummary;
-use std::collections::HashMap;
+use crate::session::{ModuleReport, Prepared, Session, SessionCore, ThermalReport};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-use tadfa_ir::{CallGraph, Function, Module};
+use tadfa_ir::{Function, Module};
 use tadfa_regalloc::{policy_by_name, AssignmentPolicy};
 use tadfa_thermal::RegisterFile;
 
-/// Recreates the assignment policy once per worker per item, so every
-/// item starts from the same initial policy state no matter which
-/// worker picks it up.
+/// Recreates the assignment policy for every batch item and every
+/// module call, so each starts from the same initial policy state no
+/// matter which worker picks it up.
 #[derive(Clone)]
 pub struct PolicyFactory {
     inner: FactoryInner,
@@ -312,16 +312,9 @@ impl Engine {
         funcs: &[Function],
         opts: &BatchOptions,
     ) -> Vec<Result<ThermalReport, TadfaError>> {
-        let tasks: Vec<Task<'_>> = funcs
-            .iter()
-            .map(|f| Task {
-                core: &self.core,
-                factory: &self.factory,
-                func: f,
-                summaries: None,
-            })
-            .collect();
-        self.execute(&tasks, opts)
+        self.execute(funcs.len(), opts, |i, scratch| {
+            self.analyze_one(&self.core, &self.factory, &funcs[i], scratch)
+        })
     }
 
     /// Analyzes a whole module on the worker pool, byte-identical to
@@ -329,13 +322,14 @@ impl Engine {
     /// count.
     ///
     /// Two phases: first the call graph's condensation is walked
-    /// bottom-up **sequentially**, flattening (and memoising in the
-    /// engine's cache) every function's [`ThermalSummary`] — cheap,
-    /// solver-free work whose order callers depend on; then every
-    /// function's fixpoint report runs **in parallel**, each call site
-    /// replaying its callee's summary. Repeated bodies — within the
-    /// module or across calls — are answered from the summary memo and
-    /// the solve cache ([`Engine::cache_stats`] exposes both).
+    /// bottom-up **sequentially**, allocating every function once and
+    /// memoising its [`ThermalSummary`](crate::ThermalSummary) in the
+    /// engine's cache — cheap, solver-free work whose order callers
+    /// depend on; then every function's fixpoint report runs **in
+    /// parallel** from that same preparation, each call site replaying
+    /// its callee's summary. Repeated bodies — within the module or
+    /// across calls — are answered from the summary memo and the solve
+    /// cache ([`Engine::cache_stats`] exposes both).
     ///
     /// # Errors
     ///
@@ -350,42 +344,30 @@ impl Engine {
     /// [`Engine::analyze_module`] with request-scoped [`BatchOptions`].
     /// A deadline that expires mid-module fails the whole call with
     /// [`TadfaError::DeadlineExceeded`] (module reports are
-    /// all-or-nothing).
+    /// all-or-nothing); it is checked before each member of either
+    /// phase, so an already expired deadline touches no cache counter.
     pub fn analyze_module_opts(
         &self,
         module: &Module,
         opts: &BatchOptions,
     ) -> Result<ModuleReport, TadfaError> {
-        tadfa_ir::verify_module(module)?;
-        let cg = CallGraph::build(module);
-
-        // Phase 1: bottom-up summaries, sequential (callers need their
-        // callees' summaries; the flatten is solver-free and memoised).
-        let mut summaries: HashMap<String, Arc<ThermalSummary>> = HashMap::new();
-        for idx in cg.bottom_up() {
-            let func = &module.functions()[idx];
-            let mut policy = self.factory.instantiate(self.core.register_file())?;
-            let sum =
-                self.core
-                    .summarize_with(func, &summaries, policy.as_mut(), Some(&self.cache))?;
-            summaries.insert(func.name().to_string(), sum);
-        }
-
-        // Phase 2: per-function fixpoint reports, parallel. Every task
-        // reads the complete summary table; input order (module order)
-        // is preserved by the executor.
-        let tasks: Vec<Task<'_>> = module
-            .functions()
-            .iter()
-            .map(|f| Task {
-                core: &self.core,
-                factory: &self.factory,
-                func: f,
-                summaries: Some(&summaries),
-            })
+        let mut policy = self.factory.instantiate(self.core.register_file())?;
+        let members: Vec<Mutex<Option<Prepared<'_>>>> = self
+            .core
+            .prepare_module(module, policy.as_mut(), Some(&self.cache), opts.deadline)?
+            .into_iter()
+            .map(|m| Mutex::new(Some(m)))
             .collect();
         let reports = self
-            .execute(&tasks, opts)
+            .execute(members.len(), opts, |i, scratch| {
+                let member = members[i]
+                    .lock()
+                    .expect("member slot poisoned")
+                    .take()
+                    .expect("every member index is claimed exactly once");
+                self.core
+                    .analyze_prepared(member, scratch, Some(&self.cache))
+            })
             .into_iter()
             .collect::<Result<Vec<_>, _>>()?;
         Ok(ModuleReport::from_parts(
@@ -432,18 +414,11 @@ impl Engine {
             derived.push((core, factory));
         }
 
-        let tasks: Vec<Task<'_>> = derived
-            .iter()
-            .flat_map(|(core, factory)| {
-                funcs.iter().map(move |f| Task {
-                    core,
-                    factory,
-                    func: f,
-                    summaries: None,
-                })
-            })
-            .collect();
-        let reports = self.execute(&tasks, &BatchOptions::default());
+        let n = funcs.len();
+        let reports = self.execute(derived.len() * n, &BatchOptions::default(), |i, scratch| {
+            let (core, factory) = &derived[i / n];
+            self.analyze_one(core, factory, &funcs[i % n], scratch)
+        });
 
         Ok(reports
             .into_iter()
@@ -456,18 +431,32 @@ impl Engine {
             .collect())
     }
 
-    /// The worker pool: scoped threads pulling tasks off a shared
-    /// atomic index, each with its own scratch buffers, writing into
-    /// per-slot result cells so output order equals input order. A
-    /// passed deadline turns every not-yet-claimed task into
-    /// [`TadfaError::DeadlineExceeded`] (checked per claim, so the
-    /// remainder drains in microseconds).
+    /// One independent item: a fresh policy from `factory`, then the
+    /// whole pipeline against `core` through the engine's cache.
+    fn analyze_one(
+        &self,
+        core: &SessionCore,
+        factory: &PolicyFactory,
+        func: &Function,
+        scratch: &mut DfaScratch,
+    ) -> Result<ThermalReport, TadfaError> {
+        let mut policy = factory.instantiate(core.register_file())?;
+        core.analyze_with(func, policy.as_mut(), scratch, Some(&self.cache))
+    }
+
+    /// The worker pool: scoped threads pulling indices `0..n` off a
+    /// shared atomic counter, each with its own scratch buffers,
+    /// writing `run(i, scratch)` into per-slot result cells so output
+    /// order equals index order. A passed deadline turns every
+    /// not-yet-claimed index into [`TadfaError::DeadlineExceeded`]
+    /// without calling `run` (checked per claim, so the remainder
+    /// drains in microseconds).
     fn execute(
         &self,
-        tasks: &[Task<'_>],
+        n: usize,
         opts: &BatchOptions,
+        run: impl Fn(usize, &mut DfaScratch) -> Result<ThermalReport, TadfaError> + Sync,
     ) -> Vec<Result<ThermalReport, TadfaError>> {
-        let n = tasks.len();
         if n == 0 {
             return Vec::new();
         }
@@ -485,30 +474,11 @@ impl Engine {
                         if i >= n {
                             break;
                         }
-                        if opts.expired() {
-                            *slots[i].lock().expect("result slot poisoned") =
-                                Some(Err(TadfaError::DeadlineExceeded));
-                            continue;
-                        }
-                        let task = &tasks[i];
-                        let result = task
-                            .factory
-                            .instantiate(task.core.register_file())
-                            .and_then(|mut policy| match task.summaries {
-                                Some(summaries) => task.core.analyze_with_summaries(
-                                    task.func,
-                                    summaries,
-                                    policy.as_mut(),
-                                    &mut scratch,
-                                    Some(&self.cache),
-                                ),
-                                None => task.core.analyze_with(
-                                    task.func,
-                                    policy.as_mut(),
-                                    &mut scratch,
-                                    Some(&self.cache),
-                                ),
-                            });
+                        let result = if opts.expired() {
+                            Err(TadfaError::DeadlineExceeded)
+                        } else {
+                            run(i, &mut scratch)
+                        };
                         *slots[i].lock().expect("result slot poisoned") = Some(result);
                     }
                 });
@@ -520,20 +490,10 @@ impl Engine {
             .map(|slot| {
                 slot.into_inner()
                     .expect("result slot poisoned")
-                    .expect("every task index was claimed exactly once")
+                    .expect("every index was claimed exactly once")
             })
             .collect()
     }
-}
-
-/// One unit of work: analyze `func` against `core` under a policy from
-/// `factory`, resolving call sites against `summaries` when the task
-/// belongs to a module analysis.
-struct Task<'a> {
-    core: &'a Arc<SessionCore>,
-    factory: &'a PolicyFactory,
-    func: &'a Function,
-    summaries: Option<&'a HashMap<String, Arc<ThermalSummary>>>,
 }
 
 #[cfg(test)]

@@ -20,6 +20,18 @@
 //!   scratch buffers — which stays private to the session (one logical
 //!   thread of analysis).
 //!
+//! Every entry point runs one pipeline per function: *prepare* it
+//! (allocate a copy and wrap the allocated form in a [`ThermalDfa`]
+//! with its CFG), then run its *fixpoint* (a solve or a solve-cache
+//! hit, then criticality ranking and upsampling). A module analysis
+//! puts one sequential *summary phase* between the two: a bottom-up
+//! walk that prepares every member and memoises its callee summary.
+//! Its fixpoint phase reuses those preparations —
+//! [`Session::analyze_module`] in a loop, the
+//! [`Engine`](crate::engine::Engine) on its pool — so each member
+//! costs one allocation, one CFG, one signature and at most one step
+//! plan.
+//!
 //! # Determinism contract
 //!
 //! [`Session::analyze`] is a pure function of the session configuration
@@ -61,8 +73,10 @@ use crate::error::TadfaError;
 use crate::grid::AnalysisGrid;
 use crate::predictive::{PredictiveConfig, PredictiveDfa, PredictiveResult};
 use crate::summary::ThermalSummary;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Instant;
 use tadfa_ir::{CallGraph, Function, Module};
 use tadfa_regalloc::{
     allocate_linear_scan, policy_by_name, AllocStats, Assignment, AssignmentPolicy, RegAllocConfig,
@@ -329,7 +343,8 @@ impl SessionCore {
         scratch: &mut DfaScratch,
         cache: Option<&SolveCache>,
     ) -> Result<ThermalReport, TadfaError> {
-        self.analyze_inner(func, policy, scratch, cache, false)
+        let member = self.prepare(func, None, policy)?;
+        self.analyze_prepared(member, scratch, cache)
     }
 
     /// [`analyze_with`](SessionCore::analyze_with) driven through the
@@ -348,140 +363,77 @@ impl SessionCore {
         func: &Function,
         policy: &mut dyn AssignmentPolicy,
     ) -> Result<ThermalReport, TadfaError> {
-        self.analyze_inner(func, policy, &mut DfaScratch::default(), None, true)
+        let member = self.prepare(func, None, policy)?;
+        let result = Arc::new(member.dfa.run_reference());
+        self.finish_report(member, result)
     }
 
-    /// [`analyze_with`](SessionCore::analyze_with) for a function whose
-    /// `call` sites resolve against already-computed callee
-    /// `summaries` — the engine's worker-side entry point for module
-    /// members. Callee-free functions behave exactly as
-    /// [`analyze_with`](SessionCore::analyze_with).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TadfaError::Alloc`] if register allocation fails and
-    /// [`TadfaError::MissingSummary`] if a callee has no summary.
-    pub fn analyze_with_summaries(
-        &self,
-        func: &Function,
-        summaries: &HashMap<String, Arc<ThermalSummary>>,
-        policy: &mut dyn AssignmentPolicy,
-        scratch: &mut DfaScratch,
-        cache: Option<&SolveCache>,
-    ) -> Result<ThermalReport, TadfaError> {
-        let mut allocated = func.clone();
-        let alloc = allocate_linear_scan(&mut allocated, &self.rf, policy, &self.alloc)?;
-        let dfa = ThermalDfa::with_summaries(
-            &allocated,
-            &alloc.assignment,
-            &self.grid,
-            self.power,
-            self.dfa,
-            summaries,
-        )?;
-        let dfa = dfa.run_with(scratch, cache);
-        self.finish_report(allocated, alloc, dfa)
-    }
-
-    /// Allocates `func` and flattens its [`ThermalSummary`], resolving
-    /// call sites against already-computed callee `summaries`. With a
-    /// `cache` the summary is memoised under the function's
-    /// [`signature`](ThermalDfa::signature): the flatten runs at most
-    /// once per distinct function body per cache lifetime, no matter
-    /// how many modules or callers share it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TadfaError::Alloc`] if register allocation fails and
-    /// [`TadfaError::MissingSummary`] if a callee has no summary.
-    pub fn summarize_with(
-        &self,
-        func: &Function,
-        summaries: &HashMap<String, Arc<ThermalSummary>>,
-        policy: &mut dyn AssignmentPolicy,
-        cache: Option<&SolveCache>,
-    ) -> Result<Arc<ThermalSummary>, TadfaError> {
-        let mut allocated = func.clone();
-        let alloc = allocate_linear_scan(&mut allocated, &self.rf, policy, &self.alloc)?;
-        let dfa = ThermalDfa::with_summaries(
-            &allocated,
-            &alloc.assignment,
-            &self.grid,
-            self.power,
-            self.dfa,
-            summaries,
-        )?;
-        Ok(self.memo_summary(&dfa, cache))
-    }
-
-    /// Runs the whole interprocedural pipeline for a module: verify
-    /// (unknown callees, arity mismatches, and recursive cycles are
-    /// typed errors), build the call graph, then walk its condensation
-    /// bottom-up — every callee is summarised before any caller — and
-    /// analyze each function with callee summaries replayed at its call
-    /// sites. This is the sequential reference the parallel
-    /// [`Engine::analyze_module`](crate::engine::Engine::analyze_module)
-    /// is byte-identical to.
+    /// The summary phase of a module analysis, shared by
+    /// [`Session::analyze_module`] and
+    /// [`Engine::analyze_module_opts`](crate::engine::Engine::analyze_module_opts):
+    /// verify the module, then walk its call graph's condensation
+    /// bottom-up, preparing each member once and memoising its
+    /// [`ThermalSummary`] (in `cache` when given) before any caller is
+    /// prepared. Returns the members in module order, each ready for
+    /// its fixpoint in [`analyze_prepared`](SessionCore::analyze_prepared).
     ///
     /// # Errors
     ///
     /// Returns [`TadfaError::Verify`] for a module that fails
-    /// verification (including [recursion]) and [`TadfaError::Alloc`]
-    /// if any member fails allocation; the first failing function
-    /// aborts the module.
+    /// verification (including [recursion]),
+    /// [`TadfaError::DeadlineExceeded`] once `deadline` has passed
+    /// (checked before each member, so an expired deadline touches no
+    /// cache counter), and the first member's [`TadfaError::Alloc`] in
+    /// bottom-up order.
     ///
     /// [recursion]: tadfa_ir::VerifyError::RecursiveCall
-    pub fn analyze_module_with(
+    pub(crate) fn prepare_module(
         &self,
         module: &Module,
         policy: &mut dyn AssignmentPolicy,
-        scratch: &mut DfaScratch,
         cache: Option<&SolveCache>,
-    ) -> Result<ModuleReport, TadfaError> {
+        deadline: Option<Instant>,
+    ) -> Result<Vec<Prepared<'_>>, TadfaError> {
         tadfa_ir::verify_module(module)?;
-        let cg = CallGraph::build(module);
         let mut summaries: HashMap<String, Arc<ThermalSummary>> = HashMap::new();
-        let mut reports: Vec<Option<ThermalReport>> = (0..module.len()).map(|_| None).collect();
-        for idx in cg.bottom_up() {
+        let mut members: Vec<Option<Prepared<'_>>> = (0..module.len()).map(|_| None).collect();
+        for idx in CallGraph::build(module).bottom_up() {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return Err(TadfaError::DeadlineExceeded);
+            }
             let func = &module.functions()[idx];
-            let (report, summary) =
-                self.analyze_module_function(func, &summaries, policy, scratch, cache)?;
-            summaries.insert(func.name().to_string(), summary);
-            reports[idx] = Some(report);
+            let member = self.prepare(func, Some(&summaries), policy)?;
+            summaries.insert(
+                func.name().to_string(),
+                self.memo_summary(&member.dfa, cache),
+            );
+            members[idx] = Some(member);
         }
-        Ok(ModuleReport {
-            names: module.names().map(String::from).collect(),
-            reports: reports
-                .into_iter()
-                .map(|r| r.expect("bottom-up order covers every function"))
-                .collect(),
-        })
+        Ok(members
+            .into_iter()
+            .map(|m| m.expect("bottom-up order covers every function"))
+            .collect())
     }
 
-    /// One module member's report *and* summary from a single
-    /// allocation — the sequential module walk's inner step.
-    fn analyze_module_function(
+    /// Allocates `func` under `policy` into a [`ThermalDfa`] that owns
+    /// the allocated form. Call sites resolve against `summaries`;
+    /// without them a call is [`TadfaError::CallsRequireModule`].
+    fn prepare(
         &self,
         func: &Function,
-        summaries: &HashMap<String, Arc<ThermalSummary>>,
+        summaries: Option<&HashMap<String, Arc<ThermalSummary>>>,
         policy: &mut dyn AssignmentPolicy,
-        scratch: &mut DfaScratch,
-        cache: Option<&SolveCache>,
-    ) -> Result<(ThermalReport, Arc<ThermalSummary>), TadfaError> {
+    ) -> Result<Prepared<'_>, TadfaError> {
         let mut allocated = func.clone();
         let alloc = allocate_linear_scan(&mut allocated, &self.rf, policy, &self.alloc)?;
-        let dfa = ThermalDfa::with_summaries(
-            &allocated,
-            &alloc.assignment,
-            &self.grid,
-            self.power,
-            self.dfa,
-            summaries,
+        let (func, assignment) = (Cow::Owned(allocated), Cow::Owned(alloc.assignment));
+        let dfa = ThermalDfa::build(
+            func, assignment, &self.grid, self.power, self.dfa, summaries,
         )?;
-        let summary = self.memo_summary(&dfa, cache);
-        let result = dfa.run_with(scratch, cache);
-        let report = self.finish_report(allocated, alloc, result)?;
-        Ok((report, summary))
+        Ok(Prepared {
+            dfa,
+            alloc_stats: alloc.stats,
+        })
     }
 
     /// The summary for `dfa`'s function, answered from the cache's
@@ -506,42 +458,30 @@ impl SessionCore {
         }
     }
 
-    fn analyze_inner(
+    /// The fixpoint phase for one prepared function: the solve
+    /// (answered from `cache` when an identical profile was solved
+    /// before), then the report.
+    pub(crate) fn analyze_prepared(
         &self,
-        func: &Function,
-        policy: &mut dyn AssignmentPolicy,
+        member: Prepared<'_>,
         scratch: &mut DfaScratch,
         cache: Option<&SolveCache>,
-        reference_solver: bool,
     ) -> Result<ThermalReport, TadfaError> {
-        let mut allocated = func.clone();
-        let alloc = allocate_linear_scan(&mut allocated, &self.rf, policy, &self.alloc)?;
-        let dfa = ThermalDfa::new(
-            &allocated,
-            &alloc.assignment,
-            &self.grid,
-            self.power,
-            self.dfa,
-        )?;
-        let dfa = if reference_solver {
-            Arc::new(dfa.run_reference())
-        } else {
-            dfa.run_with(scratch, cache)
-        };
-        self.finish_report(allocated, alloc, dfa)
+        let result = member.dfa.run_with(scratch, cache);
+        self.finish_report(member, result)
     }
 
     /// The pipeline tail shared by every analysis entry point:
     /// criticality ranking and upsampling onto the physical floorplan.
     fn finish_report(
         &self,
-        allocated: Function,
-        alloc: tadfa_regalloc::AllocationResult,
+        member: Prepared<'_>,
         dfa: Arc<ThermalDfaResult>,
     ) -> Result<ThermalReport, TadfaError> {
+        let (func, assignment) = member.dfa.into_parts();
         let critical = CriticalSet::identify(
-            &allocated,
-            &alloc.assignment,
+            &func,
+            &assignment,
             &self.grid,
             dfa.as_ref(),
             &self.power,
@@ -549,9 +489,9 @@ impl SessionCore {
         );
         let predicted = self.grid.upsample(&dfa.peak_map())?;
         Ok(ThermalReport {
-            func: allocated,
-            assignment: alloc.assignment,
-            alloc_stats: alloc.stats,
+            func,
+            assignment,
+            alloc_stats: member.alloc_stats,
             dfa,
             critical,
             predicted,
@@ -640,6 +580,14 @@ impl SessionCore {
     }
 }
 
+/// One function allocated once, inside the [`ThermalDfa`] that owns its
+/// allocated form: its callee summary and its fixpoint are both served
+/// from it.
+pub(crate) struct Prepared<'c> {
+    dfa: ThermalDfa<'c>,
+    alloc_stats: AllocStats,
+}
+
 /// The unified analysis façade: owns register file, analysis grid, power
 /// model, policy, and all configs, and runs the paper's pipeline for any
 /// number of functions.
@@ -705,8 +653,17 @@ impl Session {
     /// Returns [`TadfaError::Verify`] if the module fails verification
     /// and [`TadfaError::Alloc`] if any member fails allocation.
     pub fn analyze_module(&mut self, module: &Module) -> Result<ModuleReport, TadfaError> {
-        self.core
-            .analyze_module_with(module, self.policy.as_mut(), &mut self.scratch, None)
+        let members = self
+            .core
+            .prepare_module(module, self.policy.as_mut(), None, None)?;
+        let reports = members
+            .into_iter()
+            .map(|m| self.core.analyze_prepared(m, &mut self.scratch, None))
+            .collect::<Result<_, _>>()?;
+        Ok(ModuleReport::from_parts(
+            module.names().map(String::from).collect(),
+            reports,
+        ))
     }
 
     /// Analyzes a batch of functions, reusing the session's grid, power

@@ -480,6 +480,16 @@ fn json_scalar(v: &JsonValue, key: &str) -> Result<SpecValue, SpecError> {
 
 // ----------------------------------------------------------- semantics
 
+/// The most tasks a `[tasks] count` may ask for. Every committed spec
+/// has at most 12; the cap stops a typo from building millions of
+/// tasks before anything runs.
+const MAX_TASKS: usize = 4096;
+
+/// The highest generated-kernel `pressure`, in `[tasks]` and
+/// `[covert]`. Committed specs use at most 10; the kernel grows with
+/// it, so the cap bounds the work one spec can ask for.
+const MAX_PRESSURE: usize = 1024;
+
 /// Typed access with unknown-key rejection.
 struct Section<'a> {
     name: &'a str,
@@ -531,6 +541,18 @@ impl Section<'_> {
             )));
         }
         Ok(v as usize)
+    }
+
+    /// [`usize`](Section::usize), rejecting values above `max`.
+    fn usize_at_most(&self, key: &str, default: usize, max: usize) -> Result<usize, SpecError> {
+        let v = self.usize(key, default)?;
+        if v > max {
+            return Err(SpecError::new(format!(
+                "[{}] {key} = {v} exceeds the limit of {max}",
+                self.name
+            )));
+        }
+        Ok(v)
     }
 
     fn bool(&self, key: &str, default: bool) -> Result<bool, SpecError> {
@@ -676,7 +698,7 @@ fn build_config(
             bit_period: covert_sec.num("bit_period", d.bit_period)?,
             duty: covert_sec.num("duty", d.duty)?,
             receiver_core: covert_sec.usize("receiver_core", d.receiver_core)?,
-            pressure: covert_sec.usize("pressure", d.pressure)?,
+            pressure: covert_sec.usize_at_most("pressure", d.pressure, MAX_PRESSURE)?,
             seed: covert_sec.usize("seed", d.seed as usize)? as u64,
         };
         cfg.validate(die.cores())
@@ -746,12 +768,12 @@ fn build_config(
     }
     let arrival_period = tasks_sec.num("arrival_period", 5e-4)?;
     let length = tasks_sec.num("length", 1e-3)?;
-    let count = tasks_sec.usize("count", 8)?;
+    let count = tasks_sec.usize_at_most("count", 8, MAX_TASKS)?;
     let mut module = None;
     let mut tasks: Vec<Task> = match source.as_str() {
         "generated" => {
             let seed = tasks_sec.usize("seed", 42)? as u64;
-            let pressure = tasks_sec.usize("pressure", 8)?;
+            let pressure = tasks_sec.usize_at_most("pressure", 8, MAX_PRESSURE)?;
             if pressure == 0 {
                 return Err(SpecError::new("[tasks] pressure must be at least 1"));
             }
@@ -1031,6 +1053,25 @@ mod tests {
                 .message
                 .contains("pressure")
         );
+        // Work caps: named key and limit, checked before any task is
+        // built.
+        let e = parse_to_config("[tasks]\nsource = \"suite\"\ncount = 1000000000\n").unwrap_err();
+        assert!(
+            e.message.contains("count") && e.message.contains("4096"),
+            "{e:?}"
+        );
+        assert_eq!(
+            parse_to_config("[tasks]\nsource = \"suite\"\ncount = 4096\n")
+                .unwrap()
+                .tasks
+                .len(),
+            4096
+        );
+        let e = parse_to_config("[tasks]\nsource = \"generated\"\npressure = 1025\n").unwrap_err();
+        assert!(
+            e.message.contains("pressure") && e.message.contains("1024"),
+            "{e:?}"
+        );
         assert!(
             parse_to_config("[dfa]\nmerge = \"median\"\n[tasks]\nsource = \"suite\"\n").is_err()
         );
@@ -1300,6 +1341,12 @@ mod tests {
             .unwrap_err()
             .message
             .contains("pressure"));
+        let scorching = "[floorplan]\ncores = 2\n\
+                         [tasks]\nsource = \"covert\"\n[covert]\npressure = 5000\n";
+        assert!(parse_to_config(scorching)
+            .unwrap_err()
+            .message
+            .contains("1024"));
     }
 
     #[test]
