@@ -7,12 +7,10 @@
 //! under sustained load.
 //!
 //! Sized for the nightly pipeline; the per-push CI never runs it. Tune
-//! with `SOAK_TASKS` (default 48) and `SOAK_WORKERS` (default 4); the
-//! machine-readable summary lands in `BENCH_MULTICORE_JSON` when set.
+//! with `SOAK_TASKS` (default 48) and `SOAK_WORKERS` (default 4).
 //!
 //! Run: `cargo bench -p tadfa-bench --bench multicore_soak`
 
-use std::path::PathBuf;
 use tadfa_bench::quickbench::{fmt_duration, Harness};
 use tadfa_sched::{
     generated_tasks, run_scenario, MultiCoreFloorplan, ScenarioConfig, MAPPING_POLICY_NAMES,
@@ -47,7 +45,6 @@ fn main() {
     let mut h = Harness::new();
     h.sample_size = 3;
     h.warmup_iters = 1;
-    let mut throughputs: Vec<(String, f64)> = Vec::new();
     for policy in MAPPING_POLICY_NAMES {
         let cfg = scenario(policy, tasks, workers);
         let reference = run_scenario(&cfg)
@@ -64,10 +61,6 @@ fn main() {
             r.migrations
         });
         let mean = h.mean_of(&name).expect("benched");
-        throughputs.push((
-            format!("{policy}_tasks_per_sec"),
-            tasks as f64 / mean.as_secs_f64().max(1e-12),
-        ));
         println!(
             "{policy:<17} {} / scenario  ({:.1} tasks/s)",
             fmt_duration(mean),
@@ -76,14 +69,5 @@ fn main() {
     }
     println!();
     h.report();
-
-    if let Ok(path) = std::env::var("BENCH_MULTICORE_JSON") {
-        let metrics: Vec<(&str, f64)> = std::iter::once(("soak_tasks", tasks as f64))
-            .chain(throughputs.iter().map(|(n, v)| (n.as_str(), *v)))
-            .collect();
-        h.export_json(&PathBuf::from(&path), &metrics)
-            .expect("write soak JSON");
-        println!("wrote {path}");
-    }
     println!("\nall policies fingerprint-stable under soak: true");
 }

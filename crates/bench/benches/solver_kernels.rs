@@ -25,8 +25,8 @@
 //!
 //! Machine-readable output: `BENCH_solver.json` at the workspace root
 //! (override with `BENCH_SOLVER_JSON`), written via
-//! `Harness::export_json` so the perf trajectory is tracked from this
-//! PR onward.
+//! `Harness::export_json_with_text` so the perf trajectory is tracked
+//! from this PR onward.
 //!
 //! Run: `cargo bench -p tadfa-bench --bench solver_kernels`
 

@@ -40,7 +40,7 @@ impl Record {
 }
 
 /// One benchmark's summary statistics, nanosecond-denominated — the
-/// machine-readable row of [`Harness::export_json`].
+/// machine-readable row of [`Harness::export_json_with_text`].
 #[derive(Clone, Debug)]
 pub struct Summary {
     /// Benchmark name.
@@ -132,22 +132,12 @@ impl Harness {
     }
 
     /// Writes the machine-readable report: every benchmark's summary
-    /// plus caller-supplied scalar `metrics` (speedups, throughputs) —
-    /// the format the perf trajectory is tracked in from PR 3 on
-    /// (`BENCH_solver.json`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from creating or writing `path`.
-    pub fn export_json(&self, path: &Path, metrics: &[(&str, f64)]) -> std::io::Result<()> {
-        self.export_json_with_text(path, metrics, &[])
-    }
-
-    /// [`export_json`](Harness::export_json) with additional
-    /// string-valued metrics — identity digests and other non-numeric
-    /// facts the perf-trend gate compares (e.g. the `suite_digest`
-    /// fingerprint in `BENCH_solver.json`). Text metrics are emitted
-    /// after the scalar ones, inside the same `"metrics"` object.
+    /// plus caller-supplied scalar `metrics` (speedups, throughputs)
+    /// and string-valued `text_metrics` — identity digests and other
+    /// non-numeric facts the perf-trend gate compares (e.g. the
+    /// `suite_digest` fingerprint). This is the format of
+    /// `BENCH_solver.json`. Text metrics are emitted after the scalar
+    /// ones, inside the same `"metrics"` object.
     ///
     /// # Errors
     ///

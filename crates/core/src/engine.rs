@@ -2,9 +2,9 @@
 //!
 //! The paper's pitch is that thermal prediction is cheap enough to run
 //! inside a compiler for *every* function — which at production scale
-//! means batches of thousands of functions and sweeps over policy ×
-//! granularity grids. [`Session::analyze_batch`] runs those one at a
-//! time on one core; an [`Engine`] runs them on a worker pool.
+//! means batches of thousands of functions and whole modules.
+//! [`Session::analyze_batch`] runs those one at a time on one core; an
+//! [`Engine`] runs them on a worker pool.
 //!
 //! # Threading model
 //!
@@ -53,8 +53,6 @@
 //! ```
 
 use crate::cache::{CacheStats, SolveCache};
-use crate::config::ThermalDfaConfig;
-use crate::critical::CriticalConfig;
 use crate::dfa::DfaScratch;
 use crate::error::TadfaError;
 use crate::session::{ModuleReport, Prepared, Session, SessionCore, ThermalReport};
@@ -150,47 +148,6 @@ impl BatchOptions {
     pub fn expired(&self) -> bool {
         self.deadline.is_some_and(|d| Instant::now() >= d)
     }
-}
-
-/// One cell of a sweep: which configuration and which function, with
-/// per-cell overrides of the engine's defaults.
-#[derive(Clone, Debug, Default)]
-pub struct SweepConfig {
-    /// Display label for tables ("δ=0.1/coarse-4x4", …).
-    pub label: String,
-    /// Policy override as `(name, seed)`; `None` keeps the engine's
-    /// policy.
-    pub policy: Option<(String, u64)>,
-    /// Thermal-DFA config override (validated when the sweep starts).
-    pub dfa: Option<ThermalDfaConfig>,
-    /// Criticality config override (validated when the sweep starts).
-    pub critical: Option<CriticalConfig>,
-    /// Analysis-grid granularity override; rebuilds the grid for this
-    /// configuration's cells.
-    pub granularity: Option<(usize, usize)>,
-}
-
-impl SweepConfig {
-    /// A sweep cell that changes nothing but the label — the baseline
-    /// row of a sweep table.
-    pub fn baseline(label: &str) -> SweepConfig {
-        SweepConfig {
-            label: label.to_string(),
-            ..SweepConfig::default()
-        }
-    }
-}
-
-/// One result cell of [`Engine::sweep`]: the indices identify the
-/// `(config, function)` pair in the caller's inputs.
-#[derive(Debug)]
-pub struct SweepCell {
-    /// Index into the sweep's `configs`.
-    pub config: usize,
-    /// Index into the sweep's `funcs`.
-    pub func: usize,
-    /// The analysis outcome for this cell.
-    pub report: Result<ThermalReport, TadfaError>,
 }
 
 /// A parallel batch analysis engine over a shared [`SessionCore`].
@@ -313,7 +270,9 @@ impl Engine {
         opts: &BatchOptions,
     ) -> Vec<Result<ThermalReport, TadfaError>> {
         self.execute(funcs.len(), opts, |i, scratch| {
-            self.analyze_one(&self.core, &self.factory, &funcs[i], scratch)
+            let mut policy = self.factory.instantiate(self.core.register_file())?;
+            self.core
+                .analyze_with(&funcs[i], policy.as_mut(), scratch, Some(&self.cache))
         })
     }
 
@@ -374,74 +333,6 @@ impl Engine {
             module.names().map(String::from).collect(),
             reports,
         ))
-    }
-
-    /// Runs the full `configs × funcs` grid on the worker pool — the
-    /// policy/granularity sweep workload of thermal-aware design-space
-    /// exploration.
-    ///
-    /// Cells are returned config-major (`configs[0]` over every
-    /// function, then `configs[1]`, …), each with its own `Result`.
-    ///
-    /// # Errors
-    ///
-    /// Configuration problems (invalid δ, too-fine granularity, unknown
-    /// policy name) are engine errors and fail the sweep before any
-    /// analysis runs; per-function analysis failures land in the
-    /// affected [`SweepCell`] only.
-    pub fn sweep(
-        &self,
-        configs: &[SweepConfig],
-        funcs: &[Function],
-    ) -> Result<Vec<SweepCell>, TadfaError> {
-        // Derive and validate one core + factory per configuration up
-        // front.
-        let mut derived: Vec<(Arc<SessionCore>, PolicyFactory)> = Vec::with_capacity(configs.len());
-        for cfg in configs {
-            let core = if cfg.dfa.is_none() && cfg.critical.is_none() && cfg.granularity.is_none() {
-                Arc::clone(&self.core)
-            } else {
-                Arc::new(self.core.derived(cfg.dfa, cfg.critical, cfg.granularity)?)
-            };
-            let factory = match &cfg.policy {
-                Some((name, seed)) => {
-                    let f = PolicyFactory::named(name, *seed);
-                    let _ = f.instantiate(core.register_file())?;
-                    f
-                }
-                None => self.factory.clone(),
-            };
-            derived.push((core, factory));
-        }
-
-        let n = funcs.len();
-        let reports = self.execute(derived.len() * n, &BatchOptions::default(), |i, scratch| {
-            let (core, factory) = &derived[i / n];
-            self.analyze_one(core, factory, &funcs[i % n], scratch)
-        });
-
-        Ok(reports
-            .into_iter()
-            .enumerate()
-            .map(|(i, report)| SweepCell {
-                config: i / funcs.len().max(1),
-                func: i % funcs.len().max(1),
-                report,
-            })
-            .collect())
-    }
-
-    /// One independent item: a fresh policy from `factory`, then the
-    /// whole pipeline against `core` through the engine's cache.
-    fn analyze_one(
-        &self,
-        core: &SessionCore,
-        factory: &PolicyFactory,
-        func: &Function,
-        scratch: &mut DfaScratch,
-    ) -> Result<ThermalReport, TadfaError> {
-        let mut policy = factory.instantiate(core.register_file())?;
-        core.analyze_with(func, policy.as_mut(), scratch, Some(&self.cache))
     }
 
     /// The worker pool: scoped threads pulling indices `0..n` off a
@@ -700,74 +591,5 @@ mod tests {
             assert!(stats.summary_stores > 0, "{stats:?}");
             assert!(stats.summary_hits > 0, "warm pass reuses: {stats:?}");
         }
-    }
-
-    #[test]
-    fn sweep_covers_the_grid_config_major() {
-        let engine = Engine::from_session(&session(), 2).unwrap();
-        let configs = vec![
-            SweepConfig::baseline("default"),
-            SweepConfig {
-                label: "coarse".to_string(),
-                granularity: Some((2, 2)),
-                ..SweepConfig::default()
-            },
-            SweepConfig {
-                label: "first-free".to_string(),
-                policy: Some(("first-free".to_string(), 0)),
-                ..SweepConfig::default()
-            },
-        ];
-        let funcs = vec![kernel(3), kernel(6)];
-        let cells = engine.sweep(&configs, &funcs).unwrap();
-        assert_eq!(cells.len(), 6);
-        for (i, cell) in cells.iter().enumerate() {
-            assert_eq!(cell.config, i / 2);
-            assert_eq!(cell.func, i % 2);
-            assert!(cell.report.is_ok(), "cell {i}");
-        }
-        // The baseline column equals a plain batch result.
-        let batch = engine.analyze_batch_parallel(&funcs);
-        assert_eq!(
-            batch[0].as_ref().unwrap().fingerprint(),
-            cells[0].report.as_ref().unwrap().fingerprint()
-        );
-        // The coarse config really coarsened (fewer analysis points →
-        // different map, still upsampled to 16 physical cells).
-        let coarse = cells[2].report.as_ref().unwrap();
-        assert_eq!(coarse.predicted.len(), 16);
-        assert_ne!(
-            coarse.fingerprint(),
-            cells[0].report.as_ref().unwrap().fingerprint()
-        );
-    }
-
-    #[test]
-    fn sweep_rejects_bad_configs_before_running() {
-        let engine = Engine::from_session(&session(), 2).unwrap();
-        let bad_delta = SweepConfig {
-            label: "bad".to_string(),
-            dfa: Some(ThermalDfaConfig::default().with_delta(-1.0)),
-            ..SweepConfig::default()
-        };
-        let e = engine.sweep(&[bad_delta], &[kernel(3)]).unwrap_err();
-        assert!(matches!(
-            e,
-            TadfaError::InvalidConfig { param: "delta", .. }
-        ));
-        let bad_policy = SweepConfig {
-            label: "bad".to_string(),
-            policy: Some(("nope".to_string(), 0)),
-            ..SweepConfig::default()
-        };
-        let e = engine.sweep(&[bad_policy], &[kernel(3)]).unwrap_err();
-        assert!(matches!(e, TadfaError::UnknownPolicy(_)));
-        let bad_grid = SweepConfig {
-            label: "bad".to_string(),
-            granularity: Some((64, 64)),
-            ..SweepConfig::default()
-        };
-        let e = engine.sweep(&[bad_grid], &[kernel(3)]).unwrap_err();
-        assert!(matches!(e, TadfaError::GridTooFine { .. }));
     }
 }

@@ -66,7 +66,7 @@ pub use cache::{CacheStats, SolveCache, SpillEntry, SpillValue};
 pub use config::{Convergence, MergeRule, ThermalDfaConfig};
 pub use critical::{CriticalConfig, CriticalSet};
 pub use dfa::{BlockVisits, DfaScratch, ThermalDfa, ThermalDfaResult};
-pub use engine::{BatchOptions, Engine, PolicyFactory, SweepCell, SweepConfig};
+pub use engine::{BatchOptions, Engine, PolicyFactory};
 pub use error::TadfaError;
 pub use grid::AnalysisGrid;
 pub use predictive::{PlacementPrior, PredictiveConfig, PredictiveDfa, PredictiveResult};

@@ -548,36 +548,6 @@ impl SessionCore {
     pub fn predictive_config(&self) -> PredictiveConfig {
         self.predictive
     }
-
-    /// A copy of this core with the given overrides applied, re-running
-    /// the same validation as [`SessionBuilder::build`]. The sweep
-    /// machinery uses this to derive one core per sweep configuration;
-    /// only a granularity change rebuilds the grid.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TadfaError::InvalidConfig`] / grid errors exactly as
-    /// the builder would.
-    pub fn derived(
-        &self,
-        dfa: Option<ThermalDfaConfig>,
-        critical: Option<CriticalConfig>,
-        granularity: Option<(usize, usize)>,
-    ) -> Result<SessionCore, TadfaError> {
-        let mut core = self.clone();
-        if let Some(dfa) = dfa {
-            dfa.validate()?;
-            core.dfa = dfa;
-        }
-        if let Some(critical) = critical {
-            validate_critical(&critical)?;
-            core.critical = critical;
-        }
-        if let Some((rows, cols)) = granularity {
-            core.grid = AnalysisGrid::coarsened(&core.rf, core.rc, rows, cols)?;
-        }
-        Ok(core)
-    }
 }
 
 /// One function allocated once, inside the [`ThermalDfa`] that owns its

@@ -82,5 +82,5 @@ pub use runner::{
     run_scenario, CoreSummary, DieSummary, PreparedScenario, RunOverrides, ScenarioConfig,
     ScenarioResult, TaskOutcome,
 };
-pub use spec::{load_spec, load_spec_dir, parse_spec_toml, SpecError, SPEC_FIELDS};
+pub use spec::{load_spec, load_spec_dir, parse_spec_toml, SpecError, MAX_WORKERS, SPEC_FIELDS};
 pub use task::{generated_tasks, suite_tasks, task_metrics, Task, TaskMetrics};

@@ -490,6 +490,21 @@ const MAX_TASKS: usize = 4096;
 /// it, so the cap bounds the work one spec can ask for.
 const MAX_PRESSURE: usize = 1024;
 
+/// The most cores a `[floorplan]` may tile. The die's modal factors
+/// are dense `w × w` matrices, `w = cores · cols`, so their memory
+/// grows with the square of the die's width; this cap and [`MAX_GRID`]
+/// hold `w` to 2,048. Committed specs use at most 8 cores.
+const MAX_CORES: usize = 32;
+
+/// The most thermal-grid rows or columns per core. Committed specs use
+/// at most 8 of each.
+const MAX_GRID: usize = 64;
+
+/// The most engine worker threads a spec's `[schedule] workers` or a
+/// request's `workers` may ask for: an engine starts up to that many
+/// scoped threads per call. Committed specs use at most 4.
+pub const MAX_WORKERS: usize = 256;
+
 /// Typed access with unknown-key rejection.
 struct Section<'a> {
     name: &'a str,
@@ -623,9 +638,9 @@ fn build_config(
 
     let fp = section("floorplan");
     fp.check_keys(allowed_keys("floorplan"))?;
-    let cores = fp.usize("cores", 1)?;
-    let rows = fp.usize("rows", 8)?;
-    let cols = fp.usize("cols", 8)?;
+    let cores = fp.usize_at_most("cores", 1, MAX_CORES)?;
+    let rows = fp.usize_at_most("rows", 8, MAX_GRID)?;
+    let cols = fp.usize_at_most("cols", 8, MAX_GRID)?;
     let coupling = match fp.get("coupling_resistance") {
         None => None,
         Some(SpecValue::Num(r)) => Some(*r),
@@ -918,7 +933,7 @@ fn build_config(
     let sched = section("schedule");
     sched.check_keys(allowed_keys("schedule"))?;
     let mapping = sched.str("mapping", "round-robin")?;
-    let workers = sched.usize("workers", 4)?;
+    let workers = sched.usize_at_most("workers", 4, MAX_WORKERS)?;
 
     let assign = section("assignment");
     assign.check_keys(allowed_keys("assignment"))?;
@@ -1071,6 +1086,29 @@ mod tests {
         assert!(
             e.message.contains("pressure") && e.message.contains("1024"),
             "{e:?}"
+        );
+        for (section, key, value, limit) in [
+            ("floorplan", "cores", 33, 32),
+            ("floorplan", "cores", 4096, 32),
+            ("floorplan", "rows", 65, 64),
+            ("floorplan", "cols", 65, 64),
+            ("schedule", "workers", 257, 256),
+            ("schedule", "workers", 4096, 256),
+        ] {
+            let e = parse_to_config(&format!(
+                "[{section}]\n{key} = {value}\n[tasks]\nsource = \"suite\"\n"
+            ))
+            .unwrap_err();
+            assert!(
+                e.message.contains(key) && e.message.contains(&limit.to_string()),
+                "{e:?}"
+            );
+        }
+        assert_eq!(
+            parse_to_config("[schedule]\nworkers = 256\n[tasks]\nsource = \"suite\"\n")
+                .unwrap()
+                .workers,
+            256
         );
         assert!(
             parse_to_config("[dfa]\nmerge = \"median\"\n[tasks]\nsource = \"suite\"\n").is_err()

@@ -16,19 +16,15 @@
 //! server's own histogram is ~3%-accurate; the harness keeps every
 //! sample and is exact). `--slo-p99-ms` turns the latency report into
 //! a gate: any measured level whose p99 exceeds the budget fails the
-//! run. `--bench-out` writes a `BENCH_solver.json`-style document,
-//! `--trend-out` (with `--date`) appends a dated JSON line to the
-//! benchmark history, and `--samples-out` dumps the raw samples as
-//! CSV for offline analysis.
+//! run. The harness prints what it measured and writes no report
+//! file; the request-path benchmark is `perfbench/`.
 //!
 //! ```text
 //! tadfa-load --spawn <tadfa-serve-bin> | --spawn-fleet <tadfa-fleet-bin>
 //!            | --connect <addr:port>
 //!            [--scenarios <dir>] [--golden <dir>] [--concurrency N]
 //!            [--sweep N,M,...] [--warmup R] [--repeat R] [--workers W]
-//!            [--slo-p99-ms MS] [--bench-out <file>] [--samples-out <file>]
-//!            [--trend-out <file> --date YYYY-MM-DD] [--bench-label L]
-//!            [--expect-preloaded N] [--expect-cache-hits N]
+//!            [--slo-p99-ms MS] [--expect-preloaded N] [--expect-cache-hits N]
 //!            [--serve-arg ARG]... [--fleet-arg ARG]... [--shutdown]
 //!            [--chaos kill-worker:<sec> | hang-worker:<sec>]
 //!            [--fleet-state <dir>] [--expect-rejoin-ms MS]
@@ -94,11 +90,6 @@ USAGE:
                [--repeat R]          (default: 2, raised for sweeps — see below)
                [--workers W]         (per-request engine worker override)
                [--slo-p99-ms MS]     (fail if any level's p99 exceeds this)
-               [--bench-out <file>]  (write BENCH_serve.json-style report)
-               [--samples-out <file>](write raw latency samples as CSV)
-               [--trend-out <file>]  (append a dated history line; needs --date)
-               [--date YYYY-MM-DD]   (date stamp for --trend-out)
-               [--bench-label L]     (bench/trend suite label; default serve)
                [--expect-preloaded N](fail unless server preloaded >= N entries)
                [--expect-cache-hits N](fail unless server cache hits >= N)
                [--serve-arg ARG]     (extra arg for the --spawn server; repeatable)
@@ -135,11 +126,6 @@ struct Args {
     repeat_explicit: bool,
     workers: Option<usize>,
     slo_p99_ms: Option<f64>,
-    bench_out: Option<PathBuf>,
-    samples_out: Option<PathBuf>,
-    trend_out: Option<PathBuf>,
-    date: Option<String>,
-    bench_label: String,
     expect_preloaded: Option<f64>,
     expect_cache_hits: Option<f64>,
     serve_args: Vec<String>,
@@ -186,11 +172,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         repeat_explicit: false,
         workers: None,
         slo_p99_ms: None,
-        bench_out: None,
-        samples_out: None,
-        trend_out: None,
-        date: None,
-        bench_label: "serve".to_string(),
         expect_preloaded: None,
         expect_cache_hits: None,
         serve_args: Vec::new(),
@@ -255,10 +236,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                 }
                 parsed.slo_p99_ms = Some(ms);
             }
-            "--bench-out" => parsed.bench_out = Some(PathBuf::from(value()?)),
-            "--samples-out" => parsed.samples_out = Some(PathBuf::from(value()?)),
-            "--trend-out" => parsed.trend_out = Some(PathBuf::from(value()?)),
-            "--date" => parsed.date = Some(value()?),
             "--expect-preloaded" => {
                 parsed.expect_preloaded = Some(
                     value()?
@@ -287,7 +264,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                         .map_err(|_| "--expect-rejoin-ms needs an integer".to_string())?,
                 )
             }
-            "--bench-label" => parsed.bench_label = value()?,
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown argument '{other}'")),
         }
@@ -305,9 +281,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     }
     if parsed.concurrency == 0 || parsed.repeat == 0 {
         return Err("--concurrency and --repeat must be positive".to_string());
-    }
-    if parsed.trend_out.is_some() && parsed.date.is_none() {
-        return Err("--trend-out needs --date YYYY-MM-DD".to_string());
     }
     if !parsed.serve_args.is_empty() && parsed.spawn.is_none() {
         return Err("--serve-arg only makes sense with --spawn".to_string());
@@ -413,9 +386,9 @@ struct Phase {
     queue_full_retries: u64,
     shed_retries: u64,
     overload_retries: u64,
-    /// `(scenario, client-observed latency ns)` per successful
-    /// request; empty for untimed (warmup) passes.
-    samples: Vec<(String, u64)>,
+    /// Client-observed latency (ns) per successful request; empty for
+    /// untimed (warmup) passes.
+    samples: Vec<u64>,
 }
 
 impl Phase {
@@ -473,7 +446,7 @@ fn replay(
                                 (Some(got), Some(want)) if got == *want => {
                                     s.ok += 1;
                                     if timed {
-                                        s.samples.push((stem.clone(), elapsed));
+                                        s.samples.push(elapsed);
                                     }
                                 }
                                 (got, want) => s.mismatches.push(format!(
@@ -565,7 +538,7 @@ struct LevelReport {
 
 impl LevelReport {
     fn from_phase(concurrency: usize, phase: &Phase, elapsed: Duration) -> LevelReport {
-        let mut sorted: Vec<u64> = phase.samples.iter().map(|(_, ns)| *ns).collect();
+        let mut sorted = phase.samples.clone();
         sorted.sort_unstable();
         let sum: u128 = sorted.iter().map(|&ns| ns as u128).sum();
         let n = sorted.len();
@@ -785,7 +758,6 @@ fn main() -> ExitCode {
     let next_id = AtomicU64::new(1);
     let mut totals = Phase::default();
     let mut reports: Vec<LevelReport> = Vec::new();
-    let mut all_samples: Vec<(usize, String, u64)> = Vec::new();
     for &level in &levels {
         if args.warmup > 0 {
             totals.absorb(replay(
@@ -812,9 +784,6 @@ fn main() -> ExitCode {
         );
         let elapsed = started.elapsed();
         reports.push(LevelReport::from_phase(level, &phase, elapsed));
-        for (stem, ns) in &phase.samples {
-            all_samples.push((level, stem.clone(), *ns));
-        }
         totals.absorb(phase);
     }
 
@@ -913,41 +882,6 @@ fn main() -> ExitCode {
         eprintln!("ERROR {e}");
     }
 
-    // Artifact exports — before the gates, so a breached SLO still
-    // leaves the evidence on disk.
-    if let Some(path) = &args.samples_out {
-        let mut csv = String::from("concurrency,scenario,latency_ns\n");
-        for (level, stem, ns) in &all_samples {
-            csv.push_str(&format!("{level},{stem},{ns}\n"));
-        }
-        if let Err(e) = std::fs::write(path, csv) {
-            eprintln!("tadfa-load: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-    if let Some(path) = &args.bench_out {
-        let doc = bench_document(&args, &stems, &reports, preloaded_total, cache_hits_total);
-        if let Err(e) = std::fs::write(path, doc) {
-            eprintln!("tadfa-load: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!("wrote {}", path.display());
-    }
-    if let Some(path) = &args.trend_out {
-        let date = args.date.as_deref().expect("checked in parse_args");
-        let line = trend_line(date, &args.bench_label, &reports, requests_total);
-        let appended = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .and_then(|mut f| writeln!(f, "{line}"));
-        if let Err(e) = appended {
-            eprintln!("tadfa-load: cannot append {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!("appended trend line to {}", path.display());
-    }
-
     // Gates: goldens first, then recovery, then expectations, then the
     // latency SLO.
     if !totals.mismatches.is_empty() || !totals.errors.is_empty() {
@@ -1018,90 +952,6 @@ fn sum_cache_field(resp: &ParsedResponse, field: &str) -> f64 {
                 .sum()
         })
         .unwrap_or(0.0)
-}
-
-/// The `BENCH_serve.json` document: one bench entry per measured
-/// concurrency level, in the `BENCH_solver.json` shape — a `benches`
-/// array plus a flat `metrics` object.
-fn bench_document(
-    args: &Args,
-    stems: &[String],
-    reports: &[LevelReport],
-    preloaded: f64,
-    cache_hits: f64,
-) -> String {
-    let label = &args.bench_label;
-    let benches: Vec<String> = reports
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"name\": \"{label}/replay/c{}\", \"samples\": {}, \"p50_ns\": {}, \
-                 \"p99_ns\": {}, \"p999_ns\": {}, \"mean_ns\": {}, \"max_ns\": {}, \
-                 \"throughput_rps\": {:.3}}}",
-                r.concurrency,
-                r.requests,
-                r.p50_ns,
-                r.p99_ns,
-                r.p999_ns,
-                r.mean_ns,
-                r.max_ns,
-                r.throughput_rps
-            )
-        })
-        .collect();
-    let peak_rps = reports
-        .iter()
-        .map(|r| r.throughput_rps)
-        .fold(0.0f64, f64::max);
-    let best_p99 = reports.iter().map(|r| r.p99_ns).min().unwrap_or(0);
-    let requests_total: usize = reports.iter().map(|r| r.requests).sum();
-    let mut metrics = vec![
-        format!("    \"scenarios\": {}", stems.len()),
-        format!("    \"levels\": {}", reports.len()),
-        format!("    \"warmup_rounds\": {}", args.warmup),
-        format!("    \"repeat_rounds\": {}", args.repeat),
-        format!("    \"requests_total\": {requests_total}"),
-        format!("    \"peak_throughput_rps\": {peak_rps:.3}"),
-        format!("    \"best_p99_ns\": {best_p99}"),
-        format!("    \"cache_preloaded\": {preloaded}"),
-        format!("    \"cache_hits\": {cache_hits}"),
-    ];
-    if let Some(slo) = args.slo_p99_ms {
-        metrics.push(format!("    \"slo_p99_ms\": {slo}"));
-    }
-    format!(
-        "{{\n  \"benches\": [\n{}\n  ],\n  \"metrics\": {{\n{}\n  }}\n}}\n",
-        benches.join(",\n"),
-        metrics.join(",\n")
-    )
-}
-
-/// One dated JSON line for `BENCH_history/trend.jsonl` — the service
-/// suite's counterpart to the solver benchmark lines (`"suite":
-/// "serve"` distinguishes them from `tadfa-bench append-history`
-/// output).
-fn trend_line(date: &str, label: &str, reports: &[LevelReport], requests_total: usize) -> String {
-    let per_level = |f: fn(&LevelReport) -> u64| {
-        reports
-            .iter()
-            .map(|r| format!("\"{label}/replay/c{}\": {}", r.concurrency, f(r)))
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    let peak_rps = reports
-        .iter()
-        .map(|r| r.throughput_rps)
-        .fold(0.0f64, f64::max);
-    format!(
-        "{{\"date\": {}, \"suite\": {}, \"p50_ns\": {{{}}}, \"p99_ns\": {{{}}}, \
-         \"metrics\": {{\"peak_throughput_rps\": {:.3}, \"requests_total\": {}}}}}",
-        json::escape(date),
-        json::escape(label),
-        per_level(|r| r.p50_ns),
-        per_level(|r| r.p99_ns),
-        peak_rps,
-        requests_total
-    )
 }
 
 /// Waits out the chaos delay, then signals the victim worker — the

@@ -22,7 +22,9 @@
 //!
 //! `id` is a non-negative integer chosen by the client; `workers` and
 //! `deadline_ms` are the per-request overrides forwarded to the
-//! engine ([`RunOverrides`](tadfa_sched::RunOverrides)). On
+//! engine ([`RunOverrides`](tadfa_sched::RunOverrides)). `workers` is
+//! at most [`MAX_WORKERS`] (256), the limit the scenario-spec reader
+//! puts on `[schedule] workers`. On
 //! `run-scenario`, `workers` only affects a cold run: once the
 //! scenario's analysis memo is filled, its runs replay the memo and
 //! use no engine workers (see
@@ -42,7 +44,7 @@
 //! only when the request line was too malformed to carry one.
 
 use tadfa_sched::json::{self, escape, number, JsonValue};
-use tadfa_sched::{hex_fingerprint, ScenarioResult};
+use tadfa_sched::{hex_fingerprint, ScenarioResult, MAX_WORKERS};
 
 /// Machine-readable error kinds carried in the `error` field.
 pub mod kind {
@@ -217,23 +219,32 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
                 .map_err(|m| RequestError::new(id.into(), m)),
         }
     };
+    let workers_field = || -> Result<Option<usize>, RequestError> {
+        match u64_field("workers")? {
+            Some(w) if w > MAX_WORKERS as u64 => Err(RequestError::new(
+                id.into(),
+                format!("'workers' = {w} exceeds the limit of {MAX_WORKERS}"),
+            )),
+            w => Ok(w.map(|w| w as usize)),
+        }
+    };
 
     let op = match op_name {
         "run-scenario" => Op::RunScenario {
             scenario: str_field("scenario")?,
-            workers: u64_field("workers")?.map(|w| w as usize),
+            workers: workers_field()?,
             deadline_ms: u64_field("deadline_ms")?,
         },
         "analyze" => Op::Analyze {
             scenario: str_field("scenario")?,
             source: str_field("source")?,
-            workers: u64_field("workers")?.map(|w| w as usize),
+            workers: workers_field()?,
             deadline_ms: u64_field("deadline_ms")?,
         },
         "analyze-module" => Op::AnalyzeModule {
             scenario: str_field("scenario")?,
             source: str_field("source")?,
-            workers: u64_field("workers")?.map(|w| w as usize),
+            workers: workers_field()?,
             deadline_ms: u64_field("deadline_ms")?,
         },
         "stats" => Op::Stats,
@@ -452,6 +463,33 @@ mod tests {
             parse_request(r#"{"id": 9, "op": "run-scenario", "scenario": "s", "workers": 1.5}"#)
                 .unwrap_err();
         assert!(e.message.contains("workers"), "{}", e.message);
+        // The worker cap names the field, on every op that takes it.
+        for line in [
+            r#"{"id": 9, "op": "run-scenario", "scenario": "s", "workers": 257}"#,
+            r#"{"id": 9, "op": "analyze", "scenario": "s", "source": "", "workers": 257}"#,
+            r#"{"id": 9, "op": "analyze-module", "scenario": "s", "source": "", "workers": 100000}"#,
+        ] {
+            let e = parse_request(line).unwrap_err();
+            assert_eq!(e.id, Some(9), "{line}");
+            assert!(
+                e.message.contains("workers") && e.message.contains("256"),
+                "{}",
+                e.message
+            );
+        }
+        let r =
+            parse_request(r#"{"id": 9, "op": "run-scenario", "scenario": "s", "workers": 256}"#)
+                .unwrap();
+        assert!(
+            matches!(
+                r.op,
+                Op::RunScenario {
+                    workers: Some(256),
+                    ..
+                }
+            ),
+            "{r:?}"
+        );
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Parallel batch analysis: share one validated `Session` core across a
-//! worker pool, analyze the standard suite in parallel, then sweep a
-//! small policy × granularity grid — the design-space-exploration
+//! worker pool and analyze the standard suite in parallel — the
 //! workload the paper's "cheap enough to run for every function" pitch
 //! scales into.
 //!
@@ -47,47 +46,12 @@ fn main() -> Result<(), TadfaError> {
     });
     println!("\nbyte-identical to sequential analyze_batch: {identical}");
 
-    // Sweep: 3 policies × 2 granularities over the whole suite, one
-    // parallel grid. Config problems fail the sweep up front; analysis
-    // failures stay inside their cell.
-    let mut configs = Vec::new();
-    for policy in ["first-free", "round-robin", "chessboard"] {
-        for (rows, cols, tag) in [(8, 8, "full"), (4, 4, "coarse")] {
-            configs.push(SweepConfig {
-                label: format!("{policy}/{tag}"),
-                policy: Some((policy.to_string(), 0)),
-                granularity: Some((rows, cols)),
-                ..SweepConfig::default()
-            });
-        }
-    }
-    let cells = engine.sweep(&configs, &funcs)?;
-
-    println!(
-        "\nsweep ({} cells): mean peak per configuration:",
-        cells.len()
-    );
-    for (k, cfg) in configs.iter().enumerate() {
-        let peaks: Vec<f64> = cells
-            .iter()
-            .filter(|c| c.config == k)
-            .filter_map(|c| c.report.as_ref().ok())
-            .map(|r| r.peak_temperature())
-            .collect();
-        let mean = peaks.iter().sum::<f64>() / peaks.len().max(1) as f64;
-        println!(
-            "  {:<24} {:7.2} K over {} kernels",
-            cfg.label,
-            mean,
-            peaks.len()
-        );
-    }
-
-    // Repeated kernels across the batch + sweep were answered from the
-    // solve cache instead of re-running the RC integration.
+    // A second pass over the same suite is answered from the solve
+    // cache instead of re-running the RC integration.
+    engine.analyze_batch_parallel(&funcs);
     let stats = engine.cache_stats();
     println!(
-        "\nsolve cache: {} entries, {:.1}% hit rate",
+        "\nsolve cache after a second pass: {} entries, {:.1}% hit rate",
         stats.entries,
         100.0 * stats.hit_rate()
     );

@@ -10,11 +10,16 @@
 //! one whose cap is never reached — subdivides solver windows at epoch
 //! boundaries and is *allowed* to change low-order bits (see
 //! `docs/DETERMINISM.md`).
+//!
+//! The closed loop must also do its job: every committed spec with a
+//! controller ends cooler, in both die peaks, than the same spec with
+//! `none`.
 
+use std::path::Path;
 use tadfa::prelude::*;
 use tadfa::sched::{
-    run_scenario, suite_tasks, DtmConfig, MultiCoreFloorplan, ScenarioConfig, ScenarioResult,
-    MAPPING_POLICY_NAMES,
+    load_spec, run_scenario, suite_tasks, DtmConfig, MultiCoreFloorplan, ScenarioConfig,
+    ScenarioResult, MAPPING_POLICY_NAMES,
 };
 
 fn base_config(mapping: &str, workers: usize) -> ScenarioConfig {
@@ -97,6 +102,47 @@ fn none_policy_is_bit_identical_to_no_dtm_everywhere() {
 
             assert_bit_identical(&open, &closed, &format!("{mapping} w={workers}"));
         }
+    }
+}
+
+/// Each committed controller lowers the die's transient and steady
+/// peaks strictly below those of the same spec under `none`, and acts
+/// at least once.
+#[test]
+fn every_committed_controller_cools_the_die() {
+    for stem in [
+        "covert_pinned_dvfs",
+        "covert_pinned_throttle",
+        "het_bursty_dvfs",
+        "migrate_diurnal",
+    ] {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("scenarios")
+            .join(format!("{stem}.toml"));
+        let cfg = load_spec(&path).unwrap();
+        let controlled = run_scenario(&cfg).unwrap();
+        let mut open = cfg.clone();
+        open.dtm.as_mut().expect("spec has a controller").policy = "none".to_string();
+        let uncontrolled = run_scenario(&open).unwrap();
+
+        let (c, u) = (&controlled.die, &uncontrolled.die);
+        assert!(
+            c.transient_peak < u.transient_peak,
+            "{stem}: transient peak {} K, {} K under none",
+            c.transient_peak,
+            u.transient_peak
+        );
+        assert!(
+            c.steady_peak < u.steady_peak,
+            "{stem}: steady peak {} K, {} K under none",
+            c.steady_peak,
+            u.steady_peak
+        );
+        let acted = controlled.dtm.as_ref().unwrap();
+        assert!(
+            acted.level_changes + acted.throttle_events + acted.migrations > 0,
+            "{stem}: the controller never acted: {acted:?}"
+        );
     }
 }
 
