@@ -5,8 +5,9 @@
 //!
 //! 1. **Kernel speed** — ns/op of one RC transient step (the thermal
 //!    DFA's innermost operation) through the naive solver and the
-//!    compiled stencil kernel; plus steady-state solve times through
-//!    the naive Gauss–Seidel oracle and the exact modal solver.
+//!    compiled stencil kernel; steady-state solve times through the
+//!    naive Gauss–Seidel oracle and the exact modal solver; and one
+//!    run of 100 modal windows on a 4-core die.
 //! 2. **End-to-end speed** — cold, single-thread `analyze_batch` over
 //!    the standard suite through the production fixpoint (compiled
 //!    kernels, clean blocks skipped) vs the same sweep driven by the
@@ -35,7 +36,7 @@ use tadfa_bench::quickbench::{black_box, fmt_duration, Harness};
 use tadfa_core::Session;
 use tadfa_ir::Function;
 use tadfa_regalloc::policy_by_name;
-use tadfa_thermal::{CompiledModel, Floorplan, RcParams, StepScratch, ThermalModel};
+use tadfa_thermal::{CompiledModel, Floorplan, ModalSolver, RcParams, StepScratch, ThermalModel};
 use tadfa_workloads::standard_suite;
 
 /// Steps per sample for the kernel micro-benches (one step is tens of
@@ -101,10 +102,53 @@ fn bench_step_kernels(h: &mut Harness) -> (f64, f64) {
     h.bench_function("steady/modal/32x32", || {
         big_solver.steady_state(&big_power).peak()
     });
+    bench_die_windows(h);
 
     let ns_per =
         |name: &str| h.mean_of(name).expect("benched").as_nanos() as f64 / STEPS_PER_SAMPLE as f64;
     (ns_per("step/naive/8x8"), ns_per("step/stencil/8x8"))
+}
+
+/// Windows per `window/modal/4x6x6` sample.
+const DIE_WINDOWS: usize = 100;
+
+/// One run's worth of die windows from a fresh state: `het_bursty_dvfs`'s
+/// die (4 cores of 6×6 at 25 K/W coupling) through `ModalSolver::new`.
+/// The sequence holds each of three powers for two windows and each of
+/// six lengths for three, so the state reuses a projection on half the
+/// windows and decay factors on two thirds; the rest are timed misses
+/// (six lengths cycle through the state's four decay slots).
+fn bench_die_windows(h: &mut Harness) {
+    let (cores, rows, cols) = (4, 6, 6);
+    let rc = RcParams::default();
+    let g_lat = 1.0 / rc.lateral_resistance;
+    let strip: Vec<f64> = (1..cores * cols)
+        .map(|j| if j % cols == 0 { 1.0 / 25.0 } else { g_lat })
+        .collect();
+    let solver = ModalSolver::new(cores, rows, cols, &strip, &rc).expect("valid die");
+    let per = rows * cols;
+    // Two or three busy cores per power, a few hundred µW per cell.
+    let powers: Vec<Vec<f64>> = (0..3)
+        .map(|k| {
+            (0..cores * per)
+                .map(|i| {
+                    if (i / per + k) % 4 == 3 {
+                        0.0
+                    } else {
+                        1e-4 * ((i * 7 + k * 13) % 11) as f64
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let lengths = [2e-4, 5e-4, 1e-4, 1e-3, 3e-4, 7.5e-4];
+    h.bench_function("window/modal/4x6x6", || {
+        let mut state = solver.ambient_state();
+        for i in 0..DIE_WINDOWS {
+            solver.step(&mut state, &powers[(i / 2) % 3], lengths[(i / 3) % 6]);
+        }
+        state.temps().peak()
+    });
 }
 
 /// Times the cold single-thread batch through both solver paths in
@@ -284,6 +328,11 @@ fn main() {
     h.report();
     println!();
 
+    let window_ns = h
+        .summary_of("window/modal/4x6x6")
+        .expect("benched")
+        .median_ns as f64
+        / DIE_WINDOWS as f64;
     let kernel_speedup = naive_step_ns / stencil_step_ns.max(1e-12);
     let throughput = funcs.len() as f64 / compiled_s.max(1e-12);
     println!("step kernel:     naive {naive_step_ns:.1} ns/op  →  stencil {stencil_step_ns:.1} ns/op  ({kernel_speedup:.2}x)");
@@ -295,6 +344,7 @@ fn main() {
     println!(
         "analyze_module:  memoized summaries + warm caches {module_speedup:.2}x over full re-analysis"
     );
+    println!("die window:      {window_ns:.0} ns/window (4 cores of 6x6, median)");
 
     let path = std::env::var("BENCH_SOLVER_JSON").map_or_else(
         |_| {
@@ -317,6 +367,7 @@ fn main() {
             ("step_naive_ns_per_op", naive_step_ns),
             ("step_stencil_ns_per_op", stencil_step_ns),
             ("step_kernel_speedup", kernel_speedup),
+            ("window_modal_ns_per_window", window_ns),
             ("analyze_batch_cold_1thread_speedup", batch_speedup),
             ("analyze_batch_funcs_per_sec", throughput),
             ("analyze_module_summarized_speedup", module_speedup),

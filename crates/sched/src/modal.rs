@@ -117,6 +117,71 @@ mod tests {
         dies
     }
 
+    /// `tadfa-thermal`'s window-sequence oracle test (in its `modal`
+    /// module) runs on exactly these geometries, under the default RC
+    /// parameters; a newly committed die belongs in both lists.
+    #[test]
+    fn the_window_oracle_covers_every_committed_die() {
+        let covered = [
+            (1, 8, 8, None),
+            (2, 4, 4, Some(2.0)),
+            (2, 4, 4, Some(30.0)),
+            (2, 6, 6, Some(25.0)),
+            (4, 6, 6, Some(25.0)),
+            (4, 8, 8, Some(40.0)),
+            (8, 4, 4, Some(60.0)),
+        ];
+        for d in committed_dies() {
+            let geometry = (d.cores(), d.rows(), d.cols(), d.coupling_resistance());
+            assert!(covered.contains(&geometry), "{geometry:?} is not covered");
+            assert_eq!(d.rc_params(), RcParams::default(), "{geometry:?}");
+        }
+    }
+
+    /// A committed die has one coupling resistance, so its strip
+    /// conductances read the same from either end, and reversing the
+    /// rows and the columns of the whole die (in cell order, reversing
+    /// the cell vector) maps its network onto itself. Mirrored power
+    /// must then give mirrored temperatures, window by window and in
+    /// the steady state.
+    #[test]
+    fn committed_dies_are_mirror_symmetric() {
+        let mut rng = StdRng::seed_from_u64(4);
+        for d in committed_dies() {
+            let solver = d.modal().unwrap();
+            let n = d.num_cells();
+            let (mut state, mut mirror) = (solver.ambient_state(), solver.ambient_state());
+            let check = |a: &ThermalState, b: &ThermalState, what: &str| {
+                for (i, &t) in a.temps().iter().enumerate() {
+                    let m = b.get(n - 1 - i);
+                    assert!(
+                        (t - m).abs() <= 1e-9,
+                        "{}x{}x{} coupling {:?}, {what}, cell {i}: {t} vs mirrored {m}",
+                        d.cores(),
+                        d.rows(),
+                        d.cols(),
+                        d.coupling_resistance()
+                    );
+                }
+            };
+            for window in 0..10 {
+                let power = random_power(&mut rng, n);
+                let mirrored: Vec<f64> = power.iter().rev().copied().collect();
+                let h = rng.gen_range(5e-5..5.05e-3);
+                solver.step(&mut state, &power, h);
+                solver.step(&mut mirror, &mirrored, h);
+                check(state.temps(), mirror.temps(), &format!("window {window}"));
+            }
+            let power = random_power(&mut rng, n);
+            let mirrored: Vec<f64> = power.iter().rev().copied().collect();
+            check(
+                &solver.steady_state(&power),
+                &solver.steady_state(&mirrored),
+                "steady state",
+            );
+        }
+    }
+
     /// Explicit Euler with its sub-step divided by k = 1, 4, 16, 64
     /// approaches the exact window at first order: each 4× refinement
     /// cuts the error about 4×. Two windows, so the second starts from

@@ -29,6 +29,7 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+use tadfa_sched::MAX_WORKERS;
 use tadfa_serve::{Server, ServerConfig};
 
 const USAGE: &str = "\
@@ -56,7 +57,8 @@ scenario once at startup and refuses to serve on any fingerprint
 mismatch with the committed goldens. --compact-cache rewrites every
 scenario's segment directory under --cache-dir dropping duplicate-key
 records, then exits without serving (safe: a crash mid-compaction
-never loses pre-compaction data).";
+never loses pre-compaction data). --service-workers, --engine-workers
+and --reactor-shards each take at most 256 threads.";
 
 fn main() -> ExitCode {
     let mut cfg = ServerConfig::default();
@@ -70,6 +72,14 @@ fn main() -> ExitCode {
         v.ok_or_else(|| format!("{name} needs a value"))?
             .parse::<usize>()
             .map_err(|_| format!("{name} needs a non-negative integer"))
+    };
+    // Each of these starts that many threads.
+    let threads_arg = |name: &str, v: Option<&String>| -> Result<usize, String> {
+        let n = usize_arg(name, v)?;
+        if n > MAX_WORKERS {
+            return Err(format!("{name} is {n}, above the limit of {MAX_WORKERS}"));
+        }
+        Ok(n)
     };
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -86,11 +96,11 @@ fn main() -> ExitCode {
                 Ok(v) => cfg.queue_capacity = v,
                 Err(e) => return usage_error(&e),
             },
-            "--service-workers" => match usize_arg(arg, it.next()) {
+            "--service-workers" => match threads_arg(arg, it.next()) {
                 Ok(v) => cfg.service_workers = v,
                 Err(e) => return usage_error(&e),
             },
-            "--engine-workers" => match usize_arg(arg, it.next()) {
+            "--engine-workers" => match threads_arg(arg, it.next()) {
                 Ok(v) => cfg.engine_workers = Some(v),
                 Err(e) => return usage_error(&e),
             },
@@ -106,7 +116,7 @@ fn main() -> ExitCode {
                 Ok(v) => cfg.shed_after_ms = Some(v as u64),
                 Err(e) => return usage_error(&e),
             },
-            "--reactor-shards" => match usize_arg(arg, it.next()) {
+            "--reactor-shards" => match threads_arg(arg, it.next()) {
                 Ok(v) => cfg.reactor_shards = v,
                 Err(e) => return usage_error(&e),
             },

@@ -20,7 +20,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use tadfa::sched::{
     json, load_spec, render_report, run_scenario, ScenarioConfig, ScenarioResult, DTM_POLICY_INFO,
-    MAPPING_POLICY_INFO,
+    MAPPING_POLICY_INFO, MAX_WORKERS,
 };
 
 const USAGE: &str = "\
@@ -35,7 +35,7 @@ USAGE:
 `run` prints the deterministic JSON report to stdout (or --out FILE).
 `check` re-runs the spec and compares the scenario fingerprint against
 the expected report — the CI golden gate. `policies` lists the built-in
-mapping and DTM policies.";
+mapping and DTM policies. --workers takes 1 to 256 engine workers.";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -83,10 +83,15 @@ fn parse_args(args: &[String]) -> Result<CommonArgs, String> {
         match arg.as_str() {
             "--workers" => {
                 let v = it.next().ok_or("--workers needs a value")?;
-                workers = Some(
-                    v.parse::<usize>()
-                        .map_err(|_| format!("--workers needs a positive integer, got '{v}'"))?,
-                );
+                let n = v
+                    .parse::<usize>()
+                    .map_err(|_| format!("--workers needs a positive integer, got '{v}'"))?;
+                if !(1..=MAX_WORKERS).contains(&n) {
+                    return Err(format!(
+                        "--workers must be between 1 and the limit of {MAX_WORKERS}, got {n}"
+                    ));
+                }
+                workers = Some(n);
             }
             "--out" => out = Some(PathBuf::from(it.next().ok_or("--out needs a path")?)),
             "--expected" => {

@@ -97,3 +97,28 @@ fn a_spec_naming_the_retired_solver_key_exits_2() {
     assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(stderr.contains("unknown key 'solver'"), "{stderr}");
 }
+
+/// `--workers` is capped at `MAX_WORKERS` and must be at least 1; both
+/// are rejected while the arguments are parsed. The spec does not
+/// exist, so a value that got past the parser would fail to load
+/// instead of running.
+#[test]
+fn worker_counts_outside_1_to_the_limit_exit_2() {
+    let limit = tadfa::sched::MAX_WORKERS;
+    let over = (limit + 1).to_string();
+    let (spec, golden) = (repo("scenarios/no_such_spec.toml"), repo(GOLDEN));
+    for workers in ["0", over.as_str()] {
+        for args in [
+            vec!["run", &spec, "--workers", workers],
+            vec!["check", &spec, "--expected", &golden, "--workers", workers],
+        ] {
+            let out = tadfa(&args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+            assert!(
+                stderr.contains("--workers") && stderr.contains(&format!("limit of {limit}")),
+                "{args:?}: {stderr}"
+            );
+        }
+    }
+}
