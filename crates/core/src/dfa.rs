@@ -27,19 +27,32 @@
 //! block whose merged entry is bit-identical to the entry of its last
 //! walk; that walk would rewrite the same states and add exactly 0.0 to
 //! the residual, so the skip moves no bit.
+//!
+//! The production sweep also defers the *acyclic tail*, the blocks that
+//! cannot reach the target of a retreating edge ([`TailPlan`]). No loop
+//! reads a tail state, so the sweep walks the other blocks first and
+//! measures their largest change, `rest`. While `rest` exceeds δ the
+//! sweep cannot stop; if a guard also shows that the tail cannot change
+//! by more than `rest`, and the sweep is neither the first nor the last
+//! allowed one, it records `rest`, keeps a copy of the exits the tail
+//! merges, and ends. The next sweep that walks the tail first replays
+//! it from that copy, then from its own exits, so every state, the
+//! residual history and the stopping sweep are those of a full walk
+//! (`docs/DETERMINISM.md`, "Deferring the tail"). The oracle never
+//! defers.
 
 use crate::cache::SolveCache;
 use crate::codec::{ByteReader, ByteWriter, CodecError};
 use crate::config::{Convergence, MergeRule, ThermalDfaConfig};
 use crate::error::TadfaError;
 use crate::grid::AnalysisGrid;
-use crate::summary::{SummaryStep, ThermalSummary};
+use crate::summary::{deposit_watts, SummaryStep, ThermalSummary};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use tadfa_ir::{BlockId, Cfg, Function, Inst, InstId, Opcode, Terminator, VReg};
 use tadfa_regalloc::Assignment;
-use tadfa_thermal::{LeakageParams, PowerModel, StepSchedule, StepScratch, ThermalState};
+use tadfa_thermal::{LeakageParams, PowerModel, RcParams, StepSchedule, StepScratch, ThermalState};
 
 /// Reusable buffers for one worker's fixpoint runs.
 ///
@@ -69,11 +82,15 @@ impl DfaScratch {
 /// terminator. It is kept out of every fingerprint, codec and report.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct BlockVisits {
-    /// Weight of the visits that walked their block.
+    /// Weight of the visits that walked their block, the catch-up walks
+    /// of a deferred tail included.
     pub walked: u64,
     /// Weight of the visits skipped because the block's merged entry
     /// was bit-identical to the entry of its last walk.
     pub skipped: u64,
+    /// Weight of the tail blocks left unwalked by sweeps that deferred
+    /// the tail.
+    pub deferred: u64,
 }
 
 /// The iteration-invariant half of the fixpoint's inner loop, resolved
@@ -93,6 +110,8 @@ struct StepPlan {
     /// pre-summed), as the sparse solver path requires.
     deposits: Vec<(u32, f64)>,
     leak: LeakageParams,
+    /// The acyclic tail and its deferral guard.
+    tail: TailPlan,
 }
 
 /// One instruction's slice of the [`StepPlan`].
@@ -114,6 +133,170 @@ impl StepPlan {
             &span.sched,
         )
     }
+}
+
+/// The acyclic tail of a function, and what a sweep needs to defer it.
+///
+/// A block is in the tail when it cannot reach the target of a
+/// retreating edge, an edge `u → v` with `rpo(v) ≤ rpo(u)`. Every cycle
+/// contains a retreating edge, so the rule is sound on any CFG,
+/// irreducible ones included. Every predecessor of a tail block comes
+/// before it in reverse postorder, and no other block reads a tail exit,
+/// so on each sweep the tail's states are a function of the frontier
+/// exits of that sweep.
+#[derive(Debug, Default)]
+struct TailPlan {
+    /// The reachable blocks outside the tail, in reverse postorder.
+    body: Vec<BlockId>,
+    /// The tail, in reverse postorder.
+    blocks: Vec<BlockId>,
+    /// The body blocks with a tail successor: the exits the tail merges.
+    frontier: Vec<BlockId>,
+    /// Summed visit weight of the tail's blocks.
+    weight: u64,
+    /// The guard's ε_min and rounding bound (see [`defer_guard`]).
+    shrink: f64,
+    rounding: f64,
+}
+
+impl TailPlan {
+    /// Whether a sweep whose body changed by `rest` may leave the tail
+    /// unwalked: then no tail state can change by more than `rest`, and
+    /// the sweep records what a full walk would.
+    #[inline]
+    fn may_defer(&self, rest: f64) -> bool {
+        rest * self.shrink > self.rounding
+    }
+}
+
+/// Marks, per block, whether it is in the acyclic tail (see
+/// [`TailPlan`]): one backward pass from the targets of the retreating
+/// edges finds every reachable block that can reach one; the other
+/// reachable blocks are the tail.
+fn tail_blocks(cfg: &Cfg, num_blocks: usize) -> Vec<bool> {
+    let mut reaches_loop = vec![false; num_blocks];
+    let mut stack = Vec::new();
+    for (ru, &u) in cfg.rpo().iter().enumerate() {
+        for &v in cfg.succs(u) {
+            let retreating = cfg.rpo_index(v).is_some_and(|rv| rv <= ru);
+            if retreating && !reaches_loop[v.index()] {
+                reaches_loop[v.index()] = true;
+                stack.push(v);
+            }
+        }
+    }
+    while let Some(b) = stack.pop() {
+        for &p in cfg.preds(b) {
+            if cfg.is_reachable(p) && !reaches_loop[p.index()] {
+                reaches_loop[p.index()] = true;
+                stack.push(p);
+            }
+        }
+    }
+    (0..num_blocks)
+        .map(|i| cfg.is_reachable(BlockId::new(i as u32)) && !reaches_loop[i])
+        .collect()
+}
+
+/// How far rounding may carry a state outside the exact box
+/// `[ambient, ambient + θ*]`, K; a guard whose floor exceeds it is off.
+const BOX_MARGIN: f64 = 1.0;
+
+/// The unit roundoff of `f64`, 2⁻⁵³.
+const UNIT_ROUNDOFF: f64 = f64::EPSILON / 2.0;
+
+/// The `(ε_min, E)` of a guard that never defers.
+const GUARD_OFF: (f64, f64) = (0.0, f64::INFINITY);
+
+/// The deferral guard `(ε_min, E)` of a run with the given RC
+/// parameters, active leakage models, steps (each schedule with the
+/// step's deposit watts) and largest merge fan-in of a tail block under
+/// the Average merge (0 under Max, which rounds nothing). A sweep may
+/// defer while `rest · ε_min > E`; [`GUARD_OFF`] never defers.
+///
+/// ε_min is the smallest shrink of L∞ state differences over the steps,
+/// bounded below by `na/(1 + na) − n·h·leak′/C` for `n` sub-steps of
+/// `h` and `a = h·g_v/C`, less 4u for the merge weights and the
+/// recorded changes. E bounds what rounding adds to a difference across
+/// one merge and one step, with every temperature inside
+/// `ambient + [−1, θ* + 1]` K, `θ*` being the exact steady bound
+/// `(P_max + leak(ambient)) / (g_v − leak′)`. `docs/DETERMINISM.md`
+/// ("Deferring the tail") derives both.
+fn defer_guard(
+    params: &RcParams,
+    leaks: &[LeakageParams],
+    steps: impl Iterator<Item = (StepSchedule, f64)>,
+    fan_in: usize,
+) -> (f64, f64) {
+    // Every evaluated term is widened by far more than the few ulps
+    // its evaluation can be off.
+    let up = |x: f64| x * (1.0 + 1.0 / (1u64 << 40) as f64);
+    let down = |x: f64| x * (1.0 - 1.0 / (1u64 << 40) as f64);
+    let u = UNIT_ROUNDOFF;
+    let g_v = 1.0 / params.vertical_resistance;
+    let g_lat4 = 4.0 / params.lateral_resistance;
+    let (cap, amb) = (params.cell_capacitance, params.ambient);
+    let slope = up(leaks
+        .iter()
+        .map(|l| (l.per_cell * l.temp_coeff).abs())
+        .fold(0.0, f64::max));
+    let leak_at_amb = up(leaks
+        .iter()
+        .map(|l| (l.per_cell * (1.0 + l.temp_coeff * (amb - l.reference_temp))).max(0.0))
+        .fold(0.0, f64::max));
+    let (mut n_max, mut nh_max, mut h_max, mut watts_max) = (0u32, 0.0f64, 0.0f64, 0.0f64);
+    let mut shrink = f64::INFINITY;
+    for (sched, watts) in steps {
+        let (n, h) = (f64::from(sched.n_sub()), sched.sub_step());
+        // 1 − (1 − a)^n ≥ 1 − e^(−na) ≥ na / (1 + na), in basic
+        // operations only, so every platform takes the same decisions.
+        let na = n * h * g_v / cap;
+        let step_shrink = down(na / (1.0 + na)) - up(n * h * slope / cap);
+        // A step that does not shrink differences (leak′ ≥ g_v, or a
+        // zero-length step) turns deferral off.
+        if !(step_shrink > 0.0 && watts >= 0.0) {
+            return GUARD_OFF;
+        }
+        shrink = shrink.min(step_shrink);
+        n_max = n_max.max(sched.n_sub());
+        nh_max = nh_max.max(n * h);
+        h_max = h_max.max(h);
+        watts_max = watts_max.max(watts);
+    }
+    // Explicit Euler keeps every weight of a sub-step non-negative only
+    // while `h·(g_v + 4·g_lat) ≤ C`; the schedules keep it at half that.
+    if !(g_v > slope && up(h_max * (g_v + g_lat4) / cap) <= 1.0) {
+        return GUARD_OFF;
+    }
+    let theta = up((watts_max + leak_at_amb) / (g_v - slope));
+    let spread = theta + 2.0 * BOX_MARGIN;
+    let t_abs = amb.abs() + spread;
+    let leak_max = leaks
+        .iter()
+        .map(|l| {
+            l.per_cell.abs()
+                * (1.0 + l.temp_coeff.abs() * (spread + (amb - l.reference_temp).abs()))
+        })
+        .fold(0.0, f64::max);
+    let flow = watts_max + leak_max + (g_v + g_lat4) * spread;
+    let step = 2.0 * (f64::from(n_max) * u * t_abs + 16.0 * u * (nh_max / cap) * flow);
+    let merge = if fan_in > 1 {
+        6.0 * fan_in as f64 * u * t_abs
+    } else {
+        0.0
+    };
+    let shrink = shrink - 4.0 * u;
+    let rounding = up(step + merge);
+    if !(shrink > 0.0 && rounding / shrink <= BOX_MARGIN) {
+        return GUARD_OFF;
+    }
+    (shrink, rounding)
+}
+
+/// A block's visit weight: its instruction count, plus 1 for a
+/// terminator.
+fn visit_weight(func: &Function, bb: BlockId) -> u64 {
+    func.block(bb).insts().len() as u64 + u64::from(func.terminator(bb).is_some())
 }
 
 /// What one step of a sweep crosses: an instruction or the terminator
@@ -225,13 +408,44 @@ impl Stepper for Naive {
 }
 
 /// What one sweep hands the next: the walker (merges write into it, so
-/// no sweep after the first allocates) and the result slots.
+/// no sweep after the first allocates), the result slots, and the
+/// frontier exits of the last sweep that deferred the tail.
 struct SweepState {
     initial: ThermalState,
     walker: ThermalState,
     after: AfterMatrix,
     entry: Vec<Option<ThermalState>>,
     exit: Vec<Option<ThermalState>>,
+    frontier: Vec<ThermalState>,
+}
+
+impl SweepState {
+    /// Copies the exits of `blocks` into the frontier slots.
+    fn save_frontier(&mut self, blocks: &[BlockId]) {
+        let exit = |bb: &BlockId| {
+            self.exit[bb.index()]
+                .as_ref()
+                .expect("a walked frontier block")
+        };
+        if self.frontier.len() == blocks.len() {
+            for (copy, bb) in self.frontier.iter_mut().zip(blocks) {
+                copy.clone_from(exit(bb));
+            }
+        } else {
+            self.frontier = blocks.iter().map(|bb| exit(bb).clone()).collect();
+        }
+    }
+
+    /// Swaps the exits of `blocks` with the frontier slots, so that a
+    /// walk of the tail merges the saved exits.
+    fn swap_frontier(&mut self, blocks: &[BlockId]) {
+        for (copy, bb) in self.frontier.iter_mut().zip(blocks) {
+            let exit = self.exit[bb.index()]
+                .as_mut()
+                .expect("a walked frontier block");
+            std::mem::swap(copy, exit);
+        }
+    }
 }
 
 /// The per-instruction state store: one flat `arena_len × n` matrix
@@ -472,7 +686,7 @@ impl<'a> ThermalDfa<'a> {
     /// Resolves the iteration-invariant [`StepPlan`] for this analysis:
     /// one pass over the program in control-flow order, after which the
     /// fixpoint's sweeps never re-derive accesses, energies, or
-    /// durations.
+    /// durations; then the [`TailPlan`] and its guard.
     fn build_plan(&self) -> StepPlan {
         let func = &*self.func;
         let empty = PlanSpan {
@@ -485,6 +699,7 @@ impl<'a> ThermalDfa<'a> {
             term: vec![empty; func.num_blocks()],
             deposits: Vec::new(),
             leak: self.power_model.leakage_params(),
+            tail: TailPlan::default(),
         };
         let mut accesses = Vec::new();
         for &bb in self.cfg.rpo() {
@@ -500,7 +715,71 @@ impl<'a> ThermalDfa<'a> {
                     self.push_deposits(&mut plan.deposits, &accesses, t.latency());
             }
         }
+        plan.tail = self.build_tail(&plan);
         plan
+    }
+
+    /// Splits the blocks into body and tail and derives the deferral
+    /// guard over every step a run takes: each reachable instruction and
+    /// terminator, and each step of every replayed callee summary.
+    fn build_tail(&self, plan: &StepPlan) -> TailPlan {
+        let (func, cfg) = (&*self.func, &self.cfg);
+        let in_tail = tail_blocks(cfg, func.num_blocks());
+        let (blocks, body): (Vec<BlockId>, Vec<BlockId>) =
+            cfg.rpo().iter().partition(|bb| in_tail[bb.index()]);
+        let frontier = body
+            .iter()
+            .copied()
+            .filter(|&bb| cfg.succs(bb).iter().any(|s| in_tail[s.index()]))
+            .collect();
+        let weight = blocks.iter().map(|&bb| visit_weight(func, bb)).sum();
+        // Only a tail behind a body can be deferred, and the guard needs
+        // every counted tail state at least one step past a merge.
+        let deferrable = !body.is_empty()
+            && !blocks.is_empty()
+            && blocks.iter().all(|&bb| visit_weight(func, bb) > 0);
+        let (shrink, rounding) = if !deferrable {
+            GUARD_OFF
+        } else {
+            let mut leaks = Vec::new();
+            if self.config.leakage_feedback {
+                leaks.push(plan.leak);
+            }
+            let summaries: Vec<&ThermalSummary> =
+                self.call_summaries.iter().flatten().map(|s| &**s).collect();
+            leaks.extend(summaries.iter().filter_map(|s| s.leakage()));
+            let fan_in = match self.config.merge {
+                MergeRule::Max => 0,
+                MergeRule::Average => blocks
+                    .iter()
+                    .map(|&bb| cfg.preds(bb).len())
+                    .max()
+                    .unwrap_or(0),
+            };
+            let sites = cfg.rpo().iter().flat_map(|&bb| {
+                let insts = func.block(bb).insts().iter().map(|&id| Site::Inst(id));
+                insts.chain(func.terminator(bb).map(|_| Site::Term(bb)))
+            });
+            let own = sites.map(|site| {
+                let (deposits, sched) = plan.span(site);
+                (*sched, deposit_watts(deposits))
+            });
+            let replayed = summaries.iter().flat_map(|s| s.steps());
+            defer_guard(
+                self.grid.model().params(),
+                &leaks,
+                own.chain(replayed),
+                fan_in,
+            )
+        };
+        TailPlan {
+            body,
+            blocks,
+            frontier,
+            weight,
+            shrink,
+            rounding,
+        }
     }
 
     fn push_deposits(
@@ -682,7 +961,7 @@ impl<'a> ThermalDfa<'a> {
     /// honest baseline; production callers want
     /// [`run`](ThermalDfa::run) / [`run_with`](ThermalDfa::run_with).
     pub fn run_reference(&self) -> ThermalDfaResult {
-        self.fixpoint(&mut Naive::default(), &mut DfaScratch::default())
+        self.fixpoint(&mut Naive::default(), None, &mut DfaScratch::default())
     }
 
     /// [`run`](ThermalDfa::run) with caller-owned scratch buffers and an
@@ -711,14 +990,21 @@ impl<'a> ThermalDfa<'a> {
         }
     }
 
-    /// The production fixpoint: the compiled [`StepPlan`] as stepper.
+    /// The production fixpoint: the compiled [`StepPlan`] as stepper,
+    /// deferring its tail.
     fn solve(&self, scratch: &mut DfaScratch) -> ThermalDfaResult {
-        let mut plan = self.plan.get_or_init(|| self.build_plan());
-        self.fixpoint(&mut plan, scratch)
+        let plan = self.plan.get_or_init(|| self.build_plan());
+        self.fixpoint(&mut &*plan, Some(&plan.tail), scratch)
     }
 
-    /// The Fig. 2 iteration itself.
-    fn fixpoint<S: Stepper>(&self, stepper: &mut S, scratch: &mut DfaScratch) -> ThermalDfaResult {
+    /// The Fig. 2 iteration itself. With a `tail`, a sweep that cannot
+    /// stop may leave the tail unwalked (see the module docs).
+    fn fixpoint<S: Stepper>(
+        &self,
+        stepper: &mut S,
+        tail: Option<&TailPlan>,
+        scratch: &mut DfaScratch,
+    ) -> ThermalDfaResult {
         let func = &*self.func;
         let n = self.grid.num_points();
         let initial = self.grid.model().ambient_state();
@@ -732,6 +1018,7 @@ impl<'a> ThermalDfa<'a> {
             },
             entry: vec![None; func.num_blocks()],
             exit: vec![None; func.num_blocks()],
+            frontier: Vec::new(),
         };
         let mut history: Vec<f64> = Vec::new();
 
@@ -740,8 +1027,32 @@ impl<'a> ThermalDfa<'a> {
             residual: f64::INFINITY,
         };
 
+        // Whether the last sweep left the tail unwalked.
+        let mut behind = false;
         for iteration in 1..=self.config.max_iterations {
-            let max_change = self.sweep(stepper, &mut state, scratch);
+            let max_change = match tail {
+                None => self.walk(stepper, &mut state, scratch, self.cfg.rpo()),
+                Some(tail) => {
+                    let rest = self.walk(stepper, &mut state, scratch, &tail.body);
+                    let can_stop = rest <= self.config.delta;
+                    let edge = iteration == 1 || iteration == self.config.max_iterations;
+                    if !can_stop && !edge && tail.may_defer(rest) {
+                        state.save_frontier(&tail.frontier);
+                        scratch.visits.deferred += tail.weight;
+                        behind = true;
+                        rest
+                    } else {
+                        if std::mem::take(&mut behind) {
+                            // Catch up: the tail of the last deferring
+                            // sweep, from its frontier exits.
+                            state.swap_frontier(&tail.frontier);
+                            self.walk(stepper, &mut state, scratch, &tail.blocks);
+                            state.swap_frontier(&tail.frontier);
+                        }
+                        rest.max(self.walk(stepper, &mut state, scratch, &tail.blocks))
+                    }
+                }
+            };
 
             // The first sweep necessarily "changes" everything from
             // nothing; record it as infinite residual but never converge
@@ -780,22 +1091,24 @@ impl<'a> ThermalDfa<'a> {
         }
     }
 
-    /// One sweep over the program in reverse postorder; returns the
-    /// largest change of any instruction's state or block exit.
-    /// Allocation-free from the second sweep on: block entries merge
-    /// into the reusable walker and every result slot is overwritten in
-    /// place.
+    /// Walks `blocks`, a reverse-postorder sequence in which every
+    /// block comes after the predecessors whose exits of this sweep it
+    /// merges; returns the largest change of any instruction's state or
+    /// block exit. Allocation-free from the second sweep on: block
+    /// entries merge into the reusable walker and every result slot is
+    /// overwritten in place.
     ///
     /// When `S` skips clean blocks, a block whose merged entry is
     /// bit-identical to the entry of its last walk is not walked again:
     /// its `after` rows and exit already hold what the walk would
     /// write, and each would add exactly 0.0 to the residual (or NaN,
     /// which `f64::max` drops).
-    fn sweep<S: Stepper>(
+    fn walk<S: Stepper>(
         &self,
         stepper: &mut S,
         state: &mut SweepState,
         scratch: &mut DfaScratch,
+        blocks: &[BlockId],
     ) -> f64 {
         let (func, cfg) = (&*self.func, &self.cfg);
         let SweepState {
@@ -804,10 +1117,11 @@ impl<'a> ThermalDfa<'a> {
             after,
             entry,
             exit,
+            ..
         } = state;
         let DfaScratch { step, visits, .. } = scratch;
         let mut max_change: f64 = 0.0;
-        for &bb in cfg.rpo() {
+        for &bb in blocks {
             if bb == func.entry() {
                 walker.clone_from(initial);
             } else {
@@ -822,7 +1136,7 @@ impl<'a> ThermalDfa<'a> {
             };
             let insts = func.block(bb).insts();
             let has_term = func.terminator(bb).is_some();
-            let weight = insts.len() as u64 + u64::from(has_term);
+            let weight = visit_weight(func, bb);
             if S::SKIPS_CLEAN_BLOCKS && clean {
                 visits.skipped += weight;
                 continue;
@@ -1133,12 +1447,6 @@ mod tests {
         (r, alloc.assignment, grid, scratch.visits())
     }
 
-    /// A block's visit weight: its instruction count, plus 1 for a
-    /// terminator.
-    fn weight(f: &Function, bb: BlockId) -> u64 {
-        (f.block(bb).insts().len() + usize::from(f.terminator(bb).is_some())) as u64
-    }
-
     fn straightline() -> Function {
         let mut b = FunctionBuilder::new("s");
         let x = b.param();
@@ -1185,14 +1493,190 @@ mod tests {
         // walking: the one block's entry is ambient again.
         assert_eq!(r.convergence.iterations(), 2);
         assert_eq!(r.num_states(), f.num_insts());
-        let total = weight(&f, f.entry());
+        let total = visit_weight(&f, f.entry());
         assert_eq!(
             visits,
             BlockVisits {
                 walked: total,
-                skipped: total
+                skipped: total,
+                deferred: 0,
             }
         );
+    }
+
+    /// The tail blocks of `f`, by index.
+    fn tail_of(f: &Function) -> Vec<usize> {
+        let in_tail = tail_blocks(&Cfg::compute(f), f.num_blocks());
+        (0..f.num_blocks()).filter(|&i| in_tail[i]).collect()
+    }
+
+    #[test]
+    fn suite_kernels_name_their_tails() {
+        // Every looping kernel's tail is its return block after the
+        // last loop exit; hist's block 3 sits between its two loops, so
+        // it can reach a loop header. butterfly has no loop: all tail.
+        let tails: Vec<(&str, Vec<usize>)> = tadfa_workloads::standard_suite()
+            .into_iter()
+            .map(|w| (w.name, tail_of(&w.func)))
+            .collect();
+        let expected: Vec<(&str, Vec<usize>)> = vec![
+            ("matmul", vec![3]),
+            ("fir", vec![3]),
+            ("dot", vec![3]),
+            ("fib", vec![3]),
+            ("checksum", vec![3]),
+            ("bsort", vec![3]),
+            ("stencil", vec![3]),
+            ("saxpy", vec![3]),
+            ("hist", vec![6]),
+            ("butterfly", vec![0]),
+            ("popcount", vec![3]),
+        ];
+        assert_eq!(tails, expected);
+    }
+
+    /// entry → h ⇄ body; h → split → {left, right} → join → ret.
+    fn loop_then_diamond() -> Function {
+        let mut b = FunctionBuilder::new("ld");
+        let (h, body, split) = (b.new_block(), b.new_block(), b.new_block());
+        let (left, right, join) = (b.new_block(), b.new_block(), b.new_block());
+        let n = b.iconst(8);
+        let i = b.iconst(0);
+        let acc = b.iconst(0);
+        b.jump(h);
+        b.switch_to(h);
+        let d = b.cmpge(i, n);
+        b.branch(d, split, body);
+        b.switch_to(body);
+        let one = b.iconst(1);
+        let i2 = b.add(i, one);
+        b.mov_into(i, i2);
+        b.jump(h);
+        b.switch_to(split);
+        b.branch(d, left, right);
+        b.switch_to(left);
+        let l = b.mul(i, i);
+        b.mov_into(acc, l);
+        b.jump(join);
+        b.switch_to(right);
+        let r = b.add(i, n);
+        b.mov_into(acc, r);
+        b.jump(join);
+        b.switch_to(join);
+        let z = b.add(acc, n);
+        b.ret(Some(z));
+        b.finish()
+    }
+
+    #[test]
+    fn a_diamond_after_the_last_loop_is_tail() {
+        let mut f = loop_then_diamond();
+        assert_eq!(tail_of(&f), vec![3, 4, 5, 6]);
+        // Deferring the diamond, a merge included, moves no bit.
+        let rf = rf_4x4();
+        let alloc =
+            allocate_linear_scan(&mut f, &rf, &mut FirstFree, &RegAllocConfig::default()).unwrap();
+        let grid = AnalysisGrid::full(&rf, RcParams::default());
+        for merge in [MergeRule::Max, MergeRule::Average] {
+            let cfg = ThermalDfaConfig::default().with_merge(merge);
+            let dfa =
+                ThermalDfa::new(&f, &alloc.assignment, &grid, PowerModel::default(), cfg).unwrap();
+            let mut scratch = DfaScratch::default();
+            let r = dfa.run_with(&mut scratch, None);
+            assert!(scratch.visits().deferred > 0, "{merge:?}");
+            assert_eq!(r.encode(), dfa.run_reference().encode(), "{merge:?}");
+        }
+    }
+
+    #[test]
+    fn a_return_from_inside_a_loop_is_tail() {
+        // entry → h; h → body | done; body → early | latch; latch → h.
+        let mut b = FunctionBuilder::new("early");
+        let (h, body, early, latch, done) = (
+            b.new_block(),
+            b.new_block(),
+            b.new_block(),
+            b.new_block(),
+            b.new_block(),
+        );
+        let n = b.iconst(8);
+        let i = b.iconst(0);
+        b.jump(h);
+        b.switch_to(h);
+        let d = b.cmpge(i, n);
+        b.branch(d, done, body);
+        b.switch_to(body);
+        let e = b.cmpge(i, i);
+        b.branch(e, early, latch);
+        b.switch_to(early);
+        b.ret(Some(i));
+        b.switch_to(latch);
+        let one = b.iconst(1);
+        let i2 = b.add(i, one);
+        b.mov_into(i, i2);
+        b.jump(h);
+        b.switch_to(done);
+        b.ret(None);
+        let f = b.finish();
+        // h, body and latch lie on the cycle; both returns are tail.
+        assert_eq!(tail_of(&f), vec![early.index(), done.index()]);
+    }
+
+    #[test]
+    fn a_loop_free_function_is_all_tail_and_never_defers() {
+        // A diamond: no retreating edge, so every block is tail, `rest`
+        // covers no block and every sweep walks the tail.
+        let mut b = FunctionBuilder::new("d");
+        let c = b.param();
+        let acc = b.iconst(0);
+        let (t, e, join) = (b.new_block(), b.new_block(), b.new_block());
+        b.branch(c, t, e);
+        b.switch_to(t);
+        let x = b.add(c, c);
+        b.mov_into(acc, x);
+        b.jump(join);
+        b.switch_to(e);
+        let y = b.mul(c, c);
+        b.mov_into(acc, y);
+        b.jump(join);
+        b.switch_to(join);
+        let z = b.add(acc, c);
+        b.ret(Some(z));
+        let mut f = b.finish();
+        assert_eq!(tail_of(&f), vec![0, 1, 2, 3]);
+        for merge in [MergeRule::Max, MergeRule::Average] {
+            let (r, _, _, visits) = analyse(&mut f, ThermalDfaConfig::default().with_merge(merge));
+            assert_eq!(r.convergence.iterations(), 2);
+            assert_eq!(visits.deferred, 0, "{merge:?}");
+        }
+    }
+
+    #[test]
+    fn leakage_steeper_than_the_vertical_conductance_turns_deferral_off() {
+        let params = RcParams::default();
+        let g_v = 1.0 / params.vertical_resistance;
+        let sched = AnalysisGrid::full(&rf_4x4(), params)
+            .compiled()
+            .schedule(1e-6);
+        let leak = |slope: f64| LeakageParams {
+            per_cell: 20e-6,
+            temp_coeff: slope / 20e-6,
+            reference_temp: params.ambient,
+        };
+        let guard =
+            |leaks: &[LeakageParams]| defer_guard(&params, leaks, [(sched, 1e-3)].into_iter(), 0);
+        let (shrink, rounding) = guard(&[]);
+        assert!(
+            shrink > 0.0 && rounding / shrink < 1e-6,
+            "{shrink} {rounding}"
+        );
+        let (shrink, _) = guard(&[leak(0.5 * g_v)]);
+        assert!(shrink > 0.0);
+        assert_eq!(guard(&[leak(g_v)]), GUARD_OFF);
+        assert_eq!(guard(&[leak(2.0 * g_v)]), GUARD_OFF);
+        // A zero-length step does not shrink differences either.
+        let still = [(StepSchedule::from_raw(0, 0.0), 0.0)].into_iter();
+        assert_eq!(defer_guard(&params, &[], still, 0), GUARD_OFF);
     }
 
     #[test]
@@ -1244,15 +1728,21 @@ mod tests {
         assert!(h[h.len() - 1] <= h[1], "residuals shrink: {h:?}");
         // Every sweep after the first skips the entry block (it enters
         // from ambient) and, while the residual is nonzero, no other.
+        // A loop at the end leaves its exit block as the tail: sweeps 2
+        // to n − 1 defer it, and the last sweep walks it twice, first
+        // from sweep n − 1's frontier, then from its own.
         assert!(h.iter().all(|&c| c > 0.0), "{h:?}");
+        assert_eq!(tail_of(&f), vec![3]);
         let sweeps = h.len() as u64;
-        let entry = weight(&f, f.entry());
-        let total: u64 = f.block_ids().map(|bb| weight(&f, bb)).sum();
+        let entry = visit_weight(&f, f.entry());
+        let exit = visit_weight(&f, BlockId::new(3));
+        let total: u64 = f.block_ids().map(|bb| visit_weight(&f, bb)).sum();
         assert_eq!(
             visits,
             BlockVisits {
-                walked: total * sweeps - entry * (sweeps - 1),
+                walked: total * sweeps - entry * (sweeps - 1) - exit * (sweeps - 3),
                 skipped: entry * (sweeps - 1),
+                deferred: exit * (sweeps - 2),
             }
         );
     }

@@ -32,6 +32,15 @@ pub(crate) struct SummaryStep {
     pub(crate) sched: StepSchedule,
 }
 
+/// The summed watts of one step's deposits, or NaN if one is negative
+/// (the kernels take only non-negative power).
+pub(crate) fn deposit_watts(deposits: &[(u32, f64)]) -> f64 {
+    deposits
+        .iter()
+        .map(|&(_, w)| if w >= 0.0 { w } else { f64::NAN })
+        .sum()
+}
+
 /// The memoisable thermal effect of one function: an ordered, flattened
 /// deposit trace that advances any entry state exactly as analysing the
 /// function body (blocks once each, in reverse post-order) would.
@@ -94,6 +103,20 @@ impl ThermalSummary {
     /// two functions with identical bodies share one cached summary.
     pub fn signature(&self) -> u128 {
         self.signature
+    }
+
+    /// The leakage model replaying applies, if any.
+    pub(crate) fn leakage(&self) -> Option<LeakageParams> {
+        self.leakage_feedback.then_some(self.leak)
+    }
+
+    /// Each step's schedule with its summed deposit watts (NaN if one
+    /// is negative) — what the fixpoint's deferral guard bounds.
+    pub(crate) fn steps(&self) -> impl Iterator<Item = (StepSchedule, f64)> + '_ {
+        self.steps.iter().map(|s| {
+            let deposits = &self.deposits[s.start as usize..s.end as usize];
+            (s.sched, deposit_watts(deposits))
+        })
     }
 
     /// Replays the trace on `state` — the call-site transfer function.

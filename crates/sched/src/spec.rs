@@ -505,6 +505,13 @@ const MAX_GRID: usize = 64;
 /// scoped threads per call. Committed specs use at most 4.
 pub const MAX_WORKERS: usize = 256;
 
+/// The most fixpoint sweeps a `[dfa] max_iterations` may allow, ten
+/// times the default of 1,000. Every `analyze` request on a scenario
+/// runs under its cap, so one function that never converges (the
+/// Average merge can oscillate) holds a service worker for at most
+/// this many sweeps. E4's workloads converge to δ = 1e-9 within 5,609.
+const MAX_DFA_ITERATIONS: usize = 10_000;
+
 /// Typed access with unknown-key rejection.
 struct Section<'a> {
     name: &'a str,
@@ -954,7 +961,11 @@ fn build_config(
     };
     let dfa = ThermalDfaConfig {
         delta: dfa_sec.num("delta", defaults.delta)?,
-        max_iterations: dfa_sec.usize("max_iterations", defaults.max_iterations)?,
+        max_iterations: dfa_sec.usize_at_most(
+            "max_iterations",
+            defaults.max_iterations,
+            MAX_DFA_ITERATIONS,
+        )?,
         merge,
         leakage_feedback: dfa_sec.bool("leakage", defaults.leakage_feedback)?,
         ..defaults
@@ -1094,6 +1105,7 @@ mod tests {
             ("floorplan", "cols", 65, 64),
             ("schedule", "workers", 257, 256),
             ("schedule", "workers", 4096, 256),
+            ("dfa", "max_iterations", 10001, 10000),
         ] {
             let e = parse_to_config(&format!(
                 "[{section}]\n{key} = {value}\n[tasks]\nsource = \"suite\"\n"
@@ -1109,6 +1121,13 @@ mod tests {
                 .unwrap()
                 .workers,
             256
+        );
+        assert_eq!(
+            parse_to_config("[dfa]\nmax_iterations = 10000\n[tasks]\nsource = \"suite\"\n")
+                .unwrap()
+                .dfa
+                .max_iterations,
+            10000
         );
         assert!(
             parse_to_config("[dfa]\nmerge = \"median\"\n[tasks]\nsource = \"suite\"\n").is_err()
