@@ -5,7 +5,8 @@
 //!
 //! 1. **Kernel speed** — ns/op of one RC transient step (the thermal
 //!    DFA's innermost operation) through the naive solver and the
-//!    compiled stencil kernel; steady-state solve times through the
+//!    compiled stencil kernel, on the 8×8, 4×4 and 6×6 register files
+//!    (the 8-wide and the flat lane pass); steady-state solve times through the
 //!    naive Gauss–Seidel oracle and the exact modal solver; and one
 //!    run of 100 modal windows on a 4-core die.
 //! 2. **End-to-end speed** — cold, single-thread `analyze_batch` over
@@ -13,7 +14,8 @@
 //!    kernels, clean blocks skipped) vs the same sweep driven by the
 //!    naive oracle stepper, which walks every block
 //!    (`SessionCore::analyze_with_reference_solver`; the "reference"
-//!    entries time it). Two bars: the
+//!    entries time it), plus the production sweep alone on a 6×6
+//!    register file (`analyze_batch/compiled/suite-6x6`). Two bars: the
 //!    interleaved-pair speedup must stay ≥ 5× (PR 3's 3× bar,
 //!    tightened once the fused explicit-SIMD kernels landed), and
 //!    absolute throughput must stay ≥ 2× the pre-SIMD committed
@@ -22,7 +24,7 @@
 //!    reference reports (asserted, not just printed).
 //! 4. **Interprocedural memoization** — warm `analyze_module` (callee
 //!    summaries + fixpoints served from the solve cache) vs full
-//!    re-analysis of the same module.
+//!    re-analysis of the same module, each sample the mean of 32 calls.
 //!
 //! Machine-readable output: `BENCH_solver.json` at the workspace root
 //! (override with `BENCH_SOLVER_JSON`), written via
@@ -69,28 +71,36 @@ fn host_cpu_model() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-fn bench_step_kernels(h: &mut Harness) -> (f64, f64) {
-    let model = ThermalModel::new(Floorplan::grid(8, 8), RcParams::default());
-    let stencil = CompiledModel::new(&model);
-    let mut power = vec![0.0; 64];
-    power[27] = 1e-3;
-    power[9] = 0.4e-3;
+/// The register-file shapes of the step bars: 8×8 takes the 8-wide
+/// lane pass, 4×4 and 6×6 (most committed specs) the flat one.
+const STEP_SHAPES: [(usize, usize); 3] = [(8, 8), (4, 4), (6, 6)];
 
-    h.bench_function("step/naive/8x8", || {
-        let mut s = model.ambient_state();
-        for _ in 0..STEPS_PER_SAMPLE {
-            model.step(&mut s, &power, INSTRUCTION_DT);
-        }
-        s.peak()
-    });
-    h.bench_function("step/stencil/8x8", || {
-        let mut s = model.ambient_state();
-        let mut scratch = StepScratch::new();
-        for _ in 0..STEPS_PER_SAMPLE {
-            stencil.step_into(&mut s, &power, INSTRUCTION_DT, &mut scratch);
-        }
-        s.peak()
-    });
+fn bench_step_kernels(h: &mut Harness) -> (f64, f64) {
+    for (rows, cols) in STEP_SHAPES {
+        let model = ThermalModel::new(Floorplan::grid(rows, cols), RcParams::default());
+        let stencil = CompiledModel::new(&model);
+        // A hot cell near the centre and a warm one near a corner
+        // (cells 27 and 9 on 8×8).
+        let mut power = vec![0.0; rows * cols];
+        power[(rows / 2 - 1) * cols + cols / 2 - 1] += 1e-3;
+        power[cols + 1] += 0.4e-3;
+
+        h.bench_function(&format!("step/naive/{rows}x{cols}"), || {
+            let mut s = model.ambient_state();
+            for _ in 0..STEPS_PER_SAMPLE {
+                model.step(&mut s, &power, INSTRUCTION_DT);
+            }
+            s.peak()
+        });
+        h.bench_function(&format!("step/stencil/{rows}x{cols}"), || {
+            let mut s = model.ambient_state();
+            let mut scratch = StepScratch::new();
+            for _ in 0..STEPS_PER_SAMPLE {
+                stencil.step_into(&mut s, &power, INSTRUCTION_DT, &mut scratch);
+            }
+            s.peak()
+        });
+    }
 
     // Pure solve time: model, power vector, and modal factors are all
     // built outside the timed closures.
@@ -232,6 +242,18 @@ fn bench_analyze_batch(h: &mut Harness, funcs: &[Function]) -> (f64, f64, f64) {
     );
     println!("compiled reports byte-identical to reference: true");
 
+    // The same production sweep on a 6×6 register file, whose grid
+    // takes the flat lane pass (most committed specs analyse on 4×4 or
+    // 6×6).
+    let mut narrow = Session::builder()
+        .floorplan(6, 6)
+        .policy_name("first-free", 0)
+        .build()
+        .expect("bench session is valid");
+    h.bench_function("analyze_batch/compiled/suite-6x6", || {
+        run_compiled(&mut narrow)
+    });
+
     let median_s = |name: &str| h.summary_of(name).expect("benched").median_ns as f64 / 1e9;
     (
         median_s("analyze_batch/compiled/suite"),
@@ -240,11 +262,18 @@ fn bench_analyze_batch(h: &mut Harness, funcs: &[Function]) -> (f64, f64, f64) {
     )
 }
 
+/// Module analyses per `analyze_module/*` sample. One warm call takes
+/// a few hundred µs, and samples of a single call read bimodal (medians
+/// of 206–361 µs from one binary); each sample records the mean of
+/// this many calls instead.
+const MODULE_CALLS_PER_SAMPLE: u32 = 32;
+
 /// Times interprocedural module analysis through the memoized-summary
 /// path (a warm engine whose solve cache holds every callee summary
 /// and fixpoint) against full re-analysis (a cache-free sequential
-/// session that rebuilds everything per round), in interleaved pairs
-/// like the batch bench. Returns the median per-pair speedup.
+/// session that rebuilds everything per call), in interleaved pairs
+/// like the batch bench, [`MODULE_CALLS_PER_SAMPLE`] calls per side
+/// per round. Returns the median per-pair speedup.
 fn bench_module_summaries(h: &mut Harness) -> f64 {
     let module = tadfa_workloads::generate_module(&tadfa_workloads::ModuleGeneratorConfig {
         depth: 2,
@@ -294,13 +323,16 @@ fn bench_module_summaries(h: &mut Harness) -> f64 {
     let mut summarized_samples = Vec::with_capacity(ROUNDS);
     let mut reanalysis_samples = Vec::with_capacity(ROUNDS);
     let mut ratios = Vec::with_capacity(ROUNDS);
+    let per_call = |run: &dyn Fn() -> f64| {
+        let t0 = std::time::Instant::now();
+        for _ in 0..MODULE_CALLS_PER_SAMPLE {
+            black_box(run());
+        }
+        t0.elapsed() / MODULE_CALLS_PER_SAMPLE
+    };
     for _ in 0..ROUNDS {
-        let t0 = std::time::Instant::now();
-        black_box(run_summarized());
-        let s = t0.elapsed();
-        let t0 = std::time::Instant::now();
-        black_box(run_reanalysis());
-        let r = t0.elapsed();
+        let s = per_call(&run_summarized);
+        let r = per_call(&run_reanalysis);
         summarized_samples.push(s);
         reanalysis_samples.push(r);
         ratios.push(r.as_secs_f64() / s.as_secs_f64().max(1e-12));

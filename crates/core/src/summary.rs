@@ -21,6 +21,8 @@
 //! trace is flattened once, no matter how many functions call it.
 
 use crate::codec::{ByteReader, ByteWriter, CodecError};
+use crate::{AnalysisGrid, ThermalDfaConfig};
+use tadfa_ir::{Terminator, ALL_OPCODES};
 use tadfa_thermal::{CompiledModel, LeakageParams, StepSchedule, StepScratch, ThermalState};
 
 /// One RC step of a summary trace: a slice of the summary's deposit
@@ -103,6 +105,31 @@ impl ThermalSummary {
     /// two functions with identical bodies share one cached summary.
     pub fn signature(&self) -> u128 {
         self.signature
+    }
+
+    /// Whether analysing on `grid` under `config` could have built this
+    /// summary: its point count is the grid's, and every step runs one
+    /// of the schedules an instruction or terminator gets there (one
+    /// per latency: 1, 2, 3 and 12 cycles). The codec cannot check
+    /// either, because both depend on the model. A decoded summary
+    /// that fails asks for work no analysis does (one flipped bit of a
+    /// sub-step count decodes to up to 2³² sub-steps per call site), so
+    /// a cache warmed from disk drops it instead of preloading it.
+    pub fn fits(&self, grid: &AnalysisGrid, config: &ThermalDfaConfig) -> bool {
+        let compiled = grid.compiled();
+        // Every terminator takes the same latency.
+        let schedules: Vec<StepSchedule> = ALL_OPCODES
+            .iter()
+            .map(|op| op.latency())
+            .chain([Terminator::Ret(None).latency()])
+            .map(|latency| compiled.schedule(config.step_duration(latency)))
+            .collect();
+        let known = |s: &StepSchedule| {
+            schedules
+                .iter()
+                .any(|k| k.n_sub() == s.n_sub() && k.sub_step().to_bits() == s.sub_step().to_bits())
+        };
+        self.num_points == grid.num_points() && self.steps.iter().all(|s| known(&s.sched))
     }
 
     /// The leakage model replaying applies, if any.

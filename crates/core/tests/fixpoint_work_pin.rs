@@ -16,7 +16,12 @@ use tadfa_workloads::{generate, standard_suite, GeneratorConfig};
 /// `FirstFree` and analysed on the full 8×8 grid under the default
 /// config, through one scratch.
 fn work(funcs: Vec<Function>) -> (usize, BlockVisits) {
-    let rf = RegisterFile::new(Floorplan::grid(8, 8));
+    work_on(8, 8, funcs)
+}
+
+/// [`work`] on a `rows × cols` register file.
+fn work_on(rows: usize, cols: usize, funcs: Vec<Function>) -> (usize, BlockVisits) {
+    let rf = RegisterFile::new(Floorplan::grid(rows, cols));
     let grid = AnalysisGrid::full(&rf, RcParams::default());
     let mut scratch = DfaScratch::default();
     let mut sweeps = 0;
@@ -77,3 +82,61 @@ fn cold_traffic_work_matches_the_pinned_counts() {
     };
     assert_eq!(work(funcs), (4_687, expected));
 }
+
+/// The 24 functions of `cold_traffic_work_matches_the_pinned_counts`.
+fn cold_functions() -> Vec<Function> {
+    let mut rng = StdRng::seed_from_u64(0x5EED_0006);
+    (0..24)
+        .map(|_| {
+            generate(&GeneratorConfig {
+                seed: rng.next_u64(),
+                segments: rng.gen_range(3usize..7),
+                exprs_per_segment: rng.gen_range(4usize..9),
+                pressure: rng.gen_range(4usize..13),
+                loops: rng.gen_range(1usize..3),
+                trip_count: 40,
+                memory: rng.gen_bool(0.5),
+                hot_vars: rng.gen_range(0usize..4),
+                hot_weight: 8,
+            })
+        })
+        .collect()
+}
+
+/// The 4×4 and 6×6 register files most committed specs analyse on,
+/// whose grids take the flat lane pass rather than the 8-wide one.
+#[test]
+fn narrow_register_file_work_matches_the_pinned_counts() {
+    let suite = || standard_suite().into_iter().map(|w| w.func).collect();
+    let pins = [
+        ((4, 4), "suite", work_on(4, 4, suite()), PIN_4X4_SUITE),
+        (
+            (4, 4),
+            "cold",
+            work_on(4, 4, cold_functions()),
+            PIN_4X4_COLD,
+        ),
+        ((6, 6), "suite", work_on(6, 6, suite()), PIN_6X6_SUITE),
+        (
+            (6, 6),
+            "cold",
+            work_on(6, 6, cold_functions()),
+            PIN_6X6_COLD,
+        ),
+    ];
+    for ((rows, cols), inputs, got, (sweeps, walked, skipped, deferred)) in pins {
+        let expected = BlockVisits {
+            walked,
+            skipped,
+            deferred,
+        };
+        assert_eq!(got, (sweeps, expected), "{rows}x{cols} {inputs}");
+    }
+}
+
+// Read at the commit before the flat lane pass: (sweeps, walked,
+// skipped, deferred).
+const PIN_4X4_SUITE: (usize, u64, u64, u64) = (2_588, 51_488, 9_225, 4_200);
+const PIN_4X4_COLD: (usize, u64, u64, u64) = (5_327, 230_074, 170_753, 176_357);
+const PIN_6X6_SUITE: (usize, u64, u64, u64) = (2_313, 45_697, 8_252, 3_741);
+const PIN_6X6_COLD: (usize, u64, u64, u64) = (4_863, 209_863, 154_015, 159_621);

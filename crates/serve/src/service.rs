@@ -60,9 +60,13 @@
 //! request and appended as checksummed records. A restarted server
 //! therefore answers its first replay with cache hits
 //! ([`tadfa_core::CacheStats::preloaded`] > 0) and byte-identical
-//! fingerprints. [`ServerConfig::warm_golden`] additionally runs every
-//! scenario once at startup, verifying each fingerprint against its
-//! committed golden before the first client connects.
+//! fingerprints. A recovered summary that this scenario's analysis
+//! could not have built ([`tadfa_core::ThermalSummary::fits`]: a step
+//! schedule or point count of another model) is dropped before the
+//! preload and counted as `dropped` in the stats `persist` block.
+//! [`ServerConfig::warm_golden`] additionally runs every scenario once
+//! at startup, verifying each fingerprint against its committed golden
+//! before the first client connects.
 //!
 //! `reload` re-resolves the spec directory and atomically swaps the
 //! environment map; requests already admitted keep the environment
@@ -96,7 +100,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
-use tadfa_core::TadfaError;
+use tadfa_core::{SpillEntry, SpillValue, TadfaError};
 use tadfa_sched::json::{self, escape};
 use tadfa_sched::spec::SpecError;
 use tadfa_sched::{hex_fingerprint, load_spec_dir, PreparedScenario, RunOverrides};
@@ -234,6 +238,9 @@ impl From<SpecError> for ServeError {
 struct ScenarioEnv {
     prepared: PreparedScenario,
     store: Option<SegmentStore>,
+    /// Recovered summaries dropped before the preload (see
+    /// [`preload`]).
+    dropped: u64,
     runs: AtomicU64,
     analyzes: AtomicU64,
     module_analyzes: AtomicU64,
@@ -616,9 +623,9 @@ impl Server {
             if let Some(store) = &env.store {
                 let p = store.stats();
                 scenarios.push_str(&format!(
-                    ", \"persist\": {{\"loaded\": {}, \"skipped\": {}, \"appended\": {}, \
-                     \"segments\": {}}}",
-                    p.loaded, p.skipped, p.appended, p.segments,
+                    ", \"persist\": {{\"loaded\": {}, \"skipped\": {}, \"dropped\": {}, \
+                     \"appended\": {}, \"segments\": {}}}",
+                    p.loaded, p.skipped, env.dropped, p.appended, p.segments,
                 ));
             }
             scenarios.push('}');
@@ -761,6 +768,27 @@ impl LineHandler for Server {
     }
 }
 
+/// Preloads recovered entries into the scenario's solve cache, minus
+/// the summaries its analysis could not have built
+/// ([`tadfa_core::ThermalSummary::fits`]); returns how many were
+/// dropped. A record's checksum guards against torn writes and bit rot,
+/// not against a valid record of another model, and replaying a summary
+/// with a corrupt sub-step count could hold a worker for minutes.
+fn preload(prepared: &PreparedScenario, entries: Vec<SpillEntry>) -> u64 {
+    let core = prepared.engine().core();
+    let (grid, config) = (core.grid(), core.dfa_config());
+    let mut dropped = 0;
+    let kept = entries.into_iter().filter(|e| match &e.value {
+        SpillValue::Summary(s) if !s.fits(grid, &config) => {
+            dropped += 1;
+            false
+        }
+        _ => true,
+    });
+    prepared.solve_cache().preload_entries(kept);
+    dropped
+}
+
 /// Builds the scenario environment map: resolve specs, prepare
 /// engines, and (when configured) open each scenario's segment
 /// directory, preload its records, and arm the spill log.
@@ -775,18 +803,17 @@ fn build_envs(cfg: &ServerConfig) -> Result<EnvMap, ServeError> {
                 scenario: stem.clone(),
                 source,
             })?;
-        let store = match &cfg.cache_dir {
-            None => None,
+        let (store, dropped) = match &cfg.cache_dir {
+            None => (None, 0),
             Some(dir) => {
                 let (store, report) =
                     SegmentStore::open(&dir.join(&stem)).map_err(|source| ServeError::Persist {
                         scenario: stem.clone(),
                         source,
                     })?;
-                let cache = prepared.solve_cache();
-                cache.preload_entries(report.entries);
-                cache.enable_spill_log();
-                Some(store)
+                let dropped = preload(&prepared, report.entries);
+                prepared.solve_cache().enable_spill_log();
+                (Some(store), dropped)
             }
         };
         envs.insert(
@@ -794,6 +821,7 @@ fn build_envs(cfg: &ServerConfig) -> Result<EnvMap, ServeError> {
             Arc::new(ScenarioEnv {
                 prepared,
                 store,
+                dropped,
                 runs: AtomicU64::new(0),
                 analyzes: AtomicU64::new(0),
                 module_analyzes: AtomicU64::new(0),

@@ -9,16 +9,24 @@
 //! * **fault injection** — a zero-length segment, a flipped checksum
 //!   byte, and a truncated segment each load cleanly: bad records are
 //!   skipped and counted in the stats `persist` block, never trusted,
-//!   and never panic the server.
+//!   and never panic the server;
+//! * **summary work cap** — a checksummed summary whose step schedule
+//!   no analysis of the scenario produces is dropped before the
+//!   preload and counted, while every summary the committed specs
+//!   spill is kept.
 //!
-//! Every test drives the actual release binary over its pipe-mode
-//! protocol — the same artifact and path CI's restart-warm-cache
-//! smoke step exercises.
+//! The crash and fault tests drive the actual `tadfa-serve` binary over
+//! its pipe-mode protocol — the same artifact and path CI's
+//! restart-warm-cache smoke step exercises; the summary tests drive an
+//! in-process `Server` through the same cache directory.
 
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
-use tadfa_serve::protocol::{parse_response, ParsedResponse};
+use std::time::Instant;
+use tadfa_core::{SpillEntry, SpillValue};
+use tadfa_serve::protocol::{parse_request, parse_response, ParsedResponse};
+use tadfa_serve::{SegmentStore, Server, ServerConfig};
 
 /// A scratch directory removed on drop (best-effort).
 struct TempDir(PathBuf);
@@ -438,4 +446,147 @@ fn truncated_segment_abandons_the_tail_without_panicking() {
         loaded >= pristine_loaded - skipped && loaded < pristine_loaded,
         "only the tail is lost (loaded {loaded} of {pristine_loaded})"
     );
+}
+
+/// A two-function module: `caller` replays `hot`'s summary.
+const MODULE: &str = "func @hot(%0) {\nblock0:\n  %1 = mul %0, %0\n  %2 = mul %1, %1\n  ret %2\n}\n\n\
+                      func @caller(%0) {\nblock0:\n  %1 = call @hot(%0)\n  %2 = add %1, %0\n  ret %2\n}\n";
+
+/// Handles one request line on an in-process server.
+fn handle(server: &Server, line: &str) -> ParsedResponse {
+    let req = parse_request(line).expect("well-formed request");
+    parse_response(&server.handle(&req, Instant::now())).expect("parseable response")
+}
+
+fn module_request(stem: &str) -> String {
+    format!(
+        "{{\"id\": 7, \"op\": \"analyze-module\", \"scenario\": \"{stem}\", \"source\": {}}}",
+        tadfa_sched::json::escape(MODULE)
+    )
+}
+
+/// The per-scenario `persist.dropped` counters of a stats response.
+fn dropped_per_scenario(stats: &ParsedResponse) -> Vec<(String, f64)> {
+    stats
+        .doc
+        .get("scenarios")
+        .and_then(|v| v.as_array())
+        .expect("stats lists scenarios")
+        .iter()
+        .map(|s| {
+            let name = s.get("name").and_then(|v| v.as_str()).unwrap_or("?");
+            let dropped = s
+                .get("persist")
+                .and_then(|p| p.get("dropped"))
+                .and_then(|v| v.as_f64())
+                .expect("the persist block counts dropped summaries");
+            (name.to_string(), dropped)
+        })
+        .collect()
+}
+
+/// The encoded byte of bit 24 of a summary entry's first sub-step
+/// count: kind tag and key (17 bytes), then the summary's version,
+/// signature, point count, leakage flag, three leakage coefficients
+/// and step count (58 bytes), then the first step's start and end
+/// (8 bytes), then its little-endian `u32` sub-step count.
+const FIRST_N_SUB: usize = 17 + 58 + 8;
+
+#[test]
+fn a_summary_with_a_corrupt_sub_step_count_is_dropped_before_the_preload() {
+    let tmp = TempDir::new("summary-cap");
+    let scenarios = mini_scenarios(tmp.path());
+    let cache = tmp.path().join("cache");
+    let cfg = ServerConfig {
+        scenario_dir: scenarios,
+        cache_dir: Some(cache.clone()),
+        ..ServerConfig::default()
+    };
+    let request = module_request("solo_baseline");
+    let first = handle(&Server::load(&cfg).expect("scenarios load"), &request);
+    assert!(first.ok, "{first:?}");
+
+    // Keep only the summaries, so the restart re-runs both fixpoints
+    // and `caller`'s replays `hot`'s summary from the cache. `hot`'s is
+    // the shorter trace; flip bit 24 of its first sub-step count.
+    let slice = cache.join("solo_baseline");
+    let (_, report) = SegmentStore::open(&slice).expect("the slice opens");
+    let mut summaries: Vec<SpillEntry> = report
+        .entries
+        .into_iter()
+        .filter(|e| matches!(e.value, SpillValue::Summary(_)))
+        .collect();
+    let steps = |e: &SpillEntry| match &e.value {
+        SpillValue::Summary(s) => s.num_steps(),
+        SpillValue::Result(_) => unreachable!("only summaries are kept"),
+    };
+    let hot = (0..summaries.len())
+        .min_by_key(|&i| steps(&summaries[i]))
+        .expect("the module spilled summaries");
+    let mut bytes = summaries[hot].to_bytes();
+    let n_sub = |b: &[u8]| u32::from_le_bytes(b[FIRST_N_SUB..FIRST_N_SUB + 4].try_into().unwrap());
+    let before = n_sub(&bytes);
+    bytes[FIRST_N_SUB + 3] ^= 0x01;
+    assert_eq!(n_sub(&bytes), before ^ 1 << 24, "bit 24 flipped");
+    summaries[hot] = SpillEntry::from_bytes(&bytes).expect("the flipped count still decodes");
+
+    // A fresh, checksummed segment holding the rewritten summaries.
+    for seg in segments(&cache) {
+        std::fs::remove_file(seg).expect("segment removable");
+    }
+    let (store, _) = SegmentStore::open(&slice).expect("the slice reopens");
+    store
+        .append(&summaries)
+        .expect("the rewritten records append");
+    drop(store);
+
+    let server = Server::load(&cfg).expect("scenarios load");
+    let stats = handle(&server, STATS);
+    assert_eq!(
+        dropped_per_scenario(&stats),
+        [("solo_baseline".to_string(), 1.0)],
+        "the corrupt summary is dropped"
+    );
+    assert_eq!(
+        cache_total(&stats, "preloaded"),
+        (summaries.len() - 1) as f64,
+        "every other summary is preloaded"
+    );
+    let again = handle(&server, &request);
+    assert!(again.ok, "{again:?}");
+    assert_eq!(again.fingerprint, first.fingerprint, "the same answer");
+}
+
+#[test]
+fn no_summary_the_committed_specs_spill_is_dropped() {
+    let tmp = TempDir::new("summary-fit");
+    let cfg = ServerConfig {
+        scenario_dir: Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios"),
+        cache_dir: Some(tmp.path().join("cache")),
+        ..ServerConfig::default()
+    };
+    let server = Server::load(&cfg).expect("committed scenarios load");
+    let stems = server.scenario_names();
+    for stem in &stems {
+        let run = format!("{{\"id\": 1, \"op\": \"run-scenario\", \"scenario\": \"{stem}\"}}");
+        assert!(handle(&server, &run).ok, "{stem} runs");
+        assert!(handle(&server, &module_request(stem)).ok, "{stem} module");
+    }
+    drop(server);
+
+    let mut summaries = 0;
+    for stem in &stems {
+        let (_, report) = SegmentStore::open(&tmp.path().join("cache").join(stem)).expect("opens");
+        summaries += report
+            .entries
+            .iter()
+            .filter(|e| matches!(e.value, SpillValue::Summary(_)))
+            .count();
+    }
+    assert!(summaries >= stems.len(), "every scenario spilled summaries");
+    let stats = handle(&Server::load(&cfg).expect("reloads"), STATS);
+    for (stem, dropped) in dropped_per_scenario(&stats) {
+        assert_eq!(dropped, 0.0, "{stem}");
+    }
+    assert!(cache_total(&stats, "preloaded") > 0.0);
 }

@@ -28,6 +28,24 @@
 //! either is NaN. All solver uses compare finite temperatures (or fold
 //! absolute deltas against a running maximum), where `vmaxpd` and
 //! `f64::max` agree bit for bit.
+//!
+//! # Masked loads and stores
+//!
+//! [`W8::load_or`] reads only the lanes its [`M8`] sets and fills the
+//! others from a register; [`W8::store_masked`] writes only the set
+//! lanes. The stencil pass of grids that are not 8 wide reads each
+//! neighbour through them, with a base address one row or one cell
+//! before or after the chunk: near the grid's edges some lanes of that
+//! address fall outside the buffer. The contract is per lane: the
+//! caller guarantees every *set* lane's address is in bounds, and
+//! neither operation touches a masked-off lane on any backend.
+//! AVX-512 uses the mask registers (a masked-off lane of
+//! `vmovupd zmm{k}` neither reads nor faults); AVX uses `vmaskmovpd`,
+//! which the ISA defines the same way, plus `vblendvpd` for the
+//! fallback; the portable backend tests each lane's bit before it
+//! reads or writes. Out-of-bounds base addresses are formed with
+//! wrapping pointer arithmetic, which is defined for any offset, and
+//! are never dereferenced outside a set lane.
 
 #![allow(clippy::missing_transmute_annotations)]
 
@@ -52,13 +70,39 @@ type Repr = (core::arch::x86_64::__m256d, core::arch::x86_64::__m256d);
 #[cfg(not(all(target_arch = "x86_64", target_feature = "avx")))]
 type Repr = [f64; LANES];
 
+/// A lane mask for [`W8::load_or`] and [`W8::store_masked`]: lane `i`
+/// is set when bit `i` of [`M8::from_bits`]' argument is. Build masks
+/// once (the AVX form is two vectors) and reuse them.
+#[derive(Copy, Clone, Debug)]
+pub(crate) struct M8(MaskRepr);
+
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+type MaskRepr = core::arch::x86_64::__mmask8;
+
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "avx",
+    not(target_feature = "avx512f")
+))]
+type MaskRepr = (core::arch::x86_64::__m256i, core::arch::x86_64::__m256i);
+
+#[cfg(not(all(target_arch = "x86_64", target_feature = "avx")))]
+type MaskRepr = u8;
+
 // ---------------------------------------------------------------------
 // AVX-512F backend: one zmm register per value.
 // ---------------------------------------------------------------------
 #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
 mod imp {
-    use super::{Repr, LANES, W8};
+    use super::{Repr, LANES, M8, W8};
     use core::arch::x86_64::*;
+
+    impl M8 {
+        #[inline(always)]
+        pub(crate) fn from_bits(bits: u8) -> M8 {
+            M8(bits)
+        }
+    }
 
     impl W8 {
         #[inline(always)]
@@ -120,6 +164,35 @@ mod imp {
             // SAFETY: caller guarantees 8 writable lanes; `avx512f` is
             // statically enabled in this cfg.
             unsafe { _mm512_storeu_pd(ptr, self.0) }
+        }
+
+        /// Lane `i` reads `ptr + i` where `mask` is set and takes
+        /// `other`'s lane `i` elsewhere (`vmovupd` under a merge mask).
+        /// A masked-off lane is never read, and its fault is suppressed.
+        ///
+        /// # Safety
+        ///
+        /// `ptr.wrapping_add(i)` must be valid for reads of one `f64`
+        /// for every set lane `i`; no other lane's address need be.
+        #[inline(always)]
+        pub(crate) unsafe fn load_or(ptr: *const f64, mask: M8, other: W8) -> W8 {
+            // SAFETY: the caller guarantees every set lane is readable;
+            // the masked load touches no other lane; `avx512f` is
+            // statically enabled in this cfg.
+            unsafe { W8(_mm512_mask_loadu_pd(other.0, mask.0, ptr)) }
+        }
+
+        /// Writes lane `i` to `ptr + i` where `mask` is set; a
+        /// masked-off lane is never written.
+        ///
+        /// # Safety
+        ///
+        /// `ptr.wrapping_add(i)` must be valid for writes of one `f64`
+        /// for every set lane `i`.
+        #[inline(always)]
+        pub(crate) unsafe fn store_masked(self, ptr: *mut f64, mask: M8) {
+            // SAFETY: as `load_or`, for writes.
+            unsafe { _mm512_mask_storeu_pd(ptr, mask.0, self.0) }
         }
 
         #[inline(always)]
@@ -219,8 +292,24 @@ mod imp {
     not(target_feature = "avx512f")
 ))]
 mod imp {
-    use super::{LANES, W8};
+    use super::{LANES, M8, W8};
     use core::arch::x86_64::*;
+
+    impl M8 {
+        /// Each half is four 64-bit lanes of all ones (set) or zeros,
+        /// the form `vmaskmovpd` and `vblendvpd` read.
+        #[inline(always)]
+        pub(crate) fn from_bits(bits: u8) -> M8 {
+            let lane = |i: u32| -i64::from(bits >> i & 1);
+            // SAFETY: `avx` is statically enabled in this cfg.
+            unsafe {
+                M8((
+                    _mm256_set_epi64x(lane(3), lane(2), lane(1), lane(0)),
+                    _mm256_set_epi64x(lane(7), lane(6), lane(5), lane(4)),
+                ))
+            }
+        }
+    }
 
     impl W8 {
         #[inline(always)]
@@ -289,6 +378,49 @@ mod imp {
             unsafe {
                 _mm256_storeu_pd(ptr, self.0 .0);
                 _mm256_storeu_pd(ptr.add(4), self.0 .1);
+            }
+        }
+
+        /// Lane `i` reads `ptr + i` where `mask` is set and takes
+        /// `other`'s lane `i` elsewhere: `vmaskmovpd` per half (a
+        /// masked-off lane is never read and cannot fault), then
+        /// `vblendvpd` to merge `other`.
+        ///
+        /// # Safety
+        ///
+        /// `ptr.wrapping_add(i)` must be valid for reads of one `f64`
+        /// for every set lane `i`; no other lane's address need be.
+        #[inline(always)]
+        pub(crate) unsafe fn load_or(ptr: *const f64, mask: M8, other: W8) -> W8 {
+            let (lo, hi) = mask.0;
+            // SAFETY: the caller guarantees every set lane is readable;
+            // the masked loads touch no other lane (the high half's
+            // address is formed by wrapping arithmetic, so it need not
+            // be in bounds when its mask is clear); `avx` is statically
+            // enabled in this cfg.
+            unsafe {
+                let a = _mm256_maskload_pd(ptr, lo);
+                let b = _mm256_maskload_pd(ptr.wrapping_add(4), hi);
+                W8((
+                    _mm256_blendv_pd(other.0 .0, a, _mm256_castsi256_pd(lo)),
+                    _mm256_blendv_pd(other.0 .1, b, _mm256_castsi256_pd(hi)),
+                ))
+            }
+        }
+
+        /// Writes lane `i` to `ptr + i` where `mask` is set; a
+        /// masked-off lane is never written.
+        ///
+        /// # Safety
+        ///
+        /// `ptr.wrapping_add(i)` must be valid for writes of one `f64`
+        /// for every set lane `i`.
+        #[inline(always)]
+        pub(crate) unsafe fn store_masked(self, ptr: *mut f64, mask: M8) {
+            // SAFETY: as `load_or`, for writes.
+            unsafe {
+                _mm256_maskstore_pd(ptr, mask.0 .0, self.0 .0);
+                _mm256_maskstore_pd(ptr.wrapping_add(4), mask.0 .1, self.0 .1);
             }
         }
 
@@ -399,7 +531,14 @@ mod imp {
 // ---------------------------------------------------------------------
 #[cfg(not(all(target_arch = "x86_64", target_feature = "avx")))]
 mod imp {
-    use super::{LANES, W8};
+    use super::{LANES, M8, W8};
+
+    impl M8 {
+        #[inline(always)]
+        pub(crate) fn from_bits(bits: u8) -> M8 {
+            M8(bits)
+        }
+    }
 
     macro_rules! lanewise {
         ($name:ident, $op:tt) => {
@@ -462,6 +601,45 @@ mod imp {
             unsafe { core::ptr::write_unaligned(ptr as *mut [f64; LANES], self.0) }
         }
 
+        /// Lane `i` reads `ptr + i` where `mask` is set and takes
+        /// `other`'s lane `i` elsewhere, one lane at a time; a
+        /// masked-off lane's address is formed but never read.
+        ///
+        /// # Safety
+        ///
+        /// `ptr.wrapping_add(i)` must be valid for reads of one `f64`
+        /// for every set lane `i`; no other lane's address need be.
+        #[inline(always)]
+        pub(crate) unsafe fn load_or(ptr: *const f64, mask: M8, other: W8) -> W8 {
+            let mut out = other.0;
+            for (i, lane) in out.iter_mut().enumerate() {
+                if mask.0 >> i & 1 == 1 {
+                    // SAFETY: the caller guarantees set lanes are
+                    // readable.
+                    *lane = unsafe { ptr.wrapping_add(i).read_unaligned() };
+                }
+            }
+            W8(out)
+        }
+
+        /// Writes lane `i` to `ptr + i` where `mask` is set; a
+        /// masked-off lane is never written.
+        ///
+        /// # Safety
+        ///
+        /// `ptr.wrapping_add(i)` must be valid for writes of one `f64`
+        /// for every set lane `i`.
+        #[inline(always)]
+        pub(crate) unsafe fn store_masked(self, ptr: *mut f64, mask: M8) {
+            for (i, &lane) in self.0.iter().enumerate() {
+                if mask.0 >> i & 1 == 1 {
+                    // SAFETY: the caller guarantees set lanes are
+                    // writable.
+                    unsafe { ptr.wrapping_add(i).write_unaligned(lane) };
+                }
+            }
+        }
+
         #[inline(always)]
         pub(crate) fn from_array(a: [f64; LANES]) -> W8 {
             W8(a)
@@ -483,21 +661,13 @@ mod imp {
         /// Lane-wise maximum via `f64::max`.
         #[inline(always)]
         pub(crate) fn max(self, o: W8) -> W8 {
-            let mut out = [0.0; LANES];
-            for i in 0..LANES {
-                out[i] = self.0[i].max(o.0[i]);
-            }
-            W8(out)
+            W8(core::array::from_fn(|i| self.0[i].max(o.0[i])))
         }
 
         /// Lane-wise absolute value.
         #[inline(always)]
         pub(crate) fn abs(self) -> W8 {
-            let mut out = [0.0; LANES];
-            for i in 0..LANES {
-                out[i] = self.0[i].abs();
-            }
-            W8(out)
+            W8(self.0.map(f64::abs))
         }
 
         /// `[a0, a0, a1, …, a6]`.
@@ -526,7 +696,7 @@ mod imp {
 
 #[cfg(test)]
 mod tests {
-    use super::{LANES, W8};
+    use super::{LANES, M8, W8};
 
     // No 0/0 lane: hardware division of zeros yields a NaN whose sign
     // differs from the const-folded scalar's — NaN bits are outside the
@@ -612,6 +782,35 @@ mod tests {
         let v = W8::from_array([-5.0, 1.0, 9.5, 3.0, -9.5, 2.0, 0.0, 8.0]);
         assert_eq!(v.reduce_max(), 9.5);
         assert_eq!(W8::splat(-3.25).reduce_max(), -3.25);
+    }
+
+    #[test]
+    fn masked_loads_and_stores_touch_only_set_lanes() {
+        let fallback = W8::splat(-1.0);
+        let src = [10.0, 11.0, 12.0];
+        // The three set lanes are the whole buffer: lanes 3..8 lie past
+        // its end and must never be read.
+        let got = unsafe { W8::load_or(src.as_ptr(), M8::from_bits(0b0000_0111), fallback) };
+        assert_eq!(
+            got.to_array(),
+            [10.0, 11.0, 12.0, -1.0, -1.0, -1.0, -1.0, -1.0]
+        );
+        // A mask with holes, and a base before the buffer: lane 0 would
+        // be one element before `src`.
+        let base = src.as_ptr().wrapping_sub(1);
+        let got = unsafe { W8::load_or(base, M8::from_bits(0b0000_0110), fallback) };
+        assert_eq!(
+            got.to_array(),
+            [-1.0, 10.0, 11.0, -1.0, -1.0, -1.0, -1.0, -1.0]
+        );
+        // Stores write the set lanes and nothing else, on both halves.
+        let mut dst = [0.0; 5];
+        let v = W8::from_array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
+        unsafe { v.store_masked(dst.as_mut_ptr(), M8::from_bits(0b0001_0101)) };
+        assert_eq!(dst, [1.0, 0.0, 3.0, 0.0, 5.0]);
+        let mut dst = [0.0; 8];
+        unsafe { v.store_masked(dst.as_mut_ptr(), M8::from_bits(0b1010_0000)) };
+        assert_eq!(dst, [0.0, 0.0, 0.0, 0.0, 0.0, 6.0, 0.0, 8.0]);
     }
 
     #[test]

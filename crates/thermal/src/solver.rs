@@ -12,13 +12,14 @@
 //! A [`CompiledModel`] is built **once** per model and amortizes all of
 //! it:
 //!
-//! * the coefficients (`g_vert`, `g_lat`, their lane splats) and the
-//!   sub-step limit are precomputed;
+//! * the coefficients (`g_vert`, `g_lat` and the rest, as lane splats), the
+//!   flat pass's neighbour masks and the sub-step limit are precomputed;
 //! * on the rectangular grids every [`Floorplan`](crate::Floorplan)
 //!   describes, the **grid-stencil kernel** needs no adjacency table:
-//!   neighbours are `i ± 1` and `i ± cols`, and the interior/boundary
-//!   loops are split so the interior loop is branch-free and runs in
-//!   explicit 8-wide lanes (one whole-grid pass for 8-wide grids);
+//!   neighbours are `i ± 1` and `i ± cols`, and every cell runs in
+//!   explicit 8-wide lanes. An 8-wide grid takes one row per chunk;
+//!   every other width cuts the row-major grid into ⌈n/8⌉ flat chunks
+//!   and reads the neighbours through masked loads;
 //! * transient stepping is allocation-free: the caller owns a
 //!   [`StepScratch`] whose buffer is recycled by pointer swap.
 //!
@@ -26,12 +27,34 @@
 //! exact [`ModalSolver`](crate::ModalSolver) of
 //! [`ThermalModel::modal`].
 //!
+//! # The flat pass and its masked loads
+//!
+//! Chunk `k` of the flat pass holds cells `8k .. 8k + 8`, which may
+//! start mid-row and span rows. Its up, down, left and right
+//! neighbours are the loads at offsets `−cols`, `+cols`, `−1` and `+1`
+//! from the chunk, each under a lane mask that [`CompiledModel::new`]
+//! builds once per chunk: lane `i` is set only when cell `8k + i`
+//! exists and has that neighbour (row above, row below, a cell to its
+//! left or right in the same row). So a set lane always reads a cell of
+//! the grid, index `< n`, while a load's base address may lie before
+//! the buffer (up and left of the first chunk) or past it (down and
+//! right of the last). `W8::load_or` (`crate::lanes`) forms those base
+//! addresses with wrapping arithmetic and touches no masked-off lane on
+//! any backend; a masked-off lane takes the cell's own temperature
+//! instead, which makes its term exactly `+0.0`. The last chunk, when
+//! `n` is not a multiple of 8, loads and stores only its cells below
+//! `n` through the same masked operations, so no lane of any pass
+//! reads or writes outside the four buffers, whose lengths the pass
+//! asserts once.
+//!
 //! # Bit-identity contract
 //!
 //! The kernel preserves the *exact floating-point operation order* of
 //! the naive [`ThermalModel::step`]: neighbour contributions accumulate
-//! in the same N/S/W/E order `neighbors` yields, and derived quantities
-//! (`1/R`, the stability limit) are computed by the same expressions.
+//! in the same N/S/W/E order `neighbors` yields, a missing neighbour
+//! contributes `(T − T)·g = +0.0` (which subtracts away exactly), and
+//! derived quantities (`1/R`, the stability limit) are computed by the
+//! same expressions.
 //! Consequently compiled results are **bit-identical** to the naive
 //! solver's — asserted cell-by-cell (`f64::to_bits`) by
 //! `crates/thermal/tests/kernel_identity.rs` and suite-wide via
@@ -58,7 +81,7 @@
 //! assert_eq!(fast.temps(), naive.temps()); // bit-identical
 //! ```
 
-use crate::lanes::{LANES, W8};
+use crate::lanes::{LANES, M8, W8};
 use crate::rc::ThermalModel;
 use crate::state::ThermalState;
 
@@ -159,23 +182,26 @@ impl StepSchedule {
 }
 
 /// A transient plan compiled from a [`ThermalModel`]: its coefficients,
-/// their lane splats, and the stencil-specialized kernel. Build once
-/// (cheap, O(1) memory), share behind an `Arc`, reuse for every step —
-/// see the [module docs](self).
+/// their lane splats, the neighbour masks of the flat pass, and the
+/// stencil-specialized kernel. Build once (cheap: one mask set per
+/// eight cells), share behind an `Arc`, reuse for every step — see the
+/// [module docs](self).
 #[derive(Clone, Debug)]
 pub struct CompiledModel {
     rows: usize,
     cols: usize,
     n: usize,
-    g_vert: f64,
-    g_lat: f64,
-    cap: f64,
     ambient: f64,
     max_stable_dt: f64,
     /// Model-constant lane splats, broadcast once at compile time so
     /// per-step [`LaneCtx`] construction only splats the step- and
     /// leakage-dependent values.
     lanes: ModelLanes,
+    /// Neighbour masks of each chunk of the flat pass (empty on 8-wide
+    /// grids, which take [`CompiledModel::stencil_pass_w8`]).
+    chunks: Vec<ChunkMasks>,
+    /// The lanes of the last chunk that hold cells.
+    last: M8,
 }
 
 impl CompiledModel {
@@ -187,16 +213,23 @@ impl CompiledModel {
         // share their exact bit patterns.
         let g_vert = 1.0 / params.vertical_resistance;
         let g_lat = 1.0 / params.lateral_resistance;
+        let (rows, cols, n) = (fp.rows(), fp.cols(), fp.num_cells());
+        let chunks = if cols == LANES {
+            Vec::new()
+        } else {
+            ChunkMasks::grid(rows, cols)
+        };
+        // 1 to 8 cells in the last chunk (an empty grid has no chunk).
+        let last_cells = n - LANES * n.div_ceil(LANES).saturating_sub(1);
         CompiledModel {
-            rows: fp.rows(),
-            cols: fp.cols(),
-            n: fp.num_cells(),
-            g_vert,
-            g_lat,
-            cap: params.cell_capacitance,
+            rows,
+            cols,
+            n,
             ambient: params.ambient,
             max_stable_dt: model.max_stable_dt(),
             lanes: ModelLanes::new(g_vert, g_lat, params.ambient, params.cell_capacitance),
+            chunks,
+            last: M8::from_bits((0..last_cells).fold(0, |bits, i| bits | 1 << i)),
         }
     }
 
@@ -485,10 +518,10 @@ impl CompiledModel {
     /// One explicit-Euler sub-step via the grid stencil, fully fused:
     /// power deposit + temperature-dependent leakage + Euler update +
     /// (optionally) the fixpoint's compare-and-copy, one pass over the
-    /// grid in explicit 8-wide lanes ([`crate::lanes::W8`]). Rows come
-    /// in three bands (first, interior, last), each monomorphized over
-    /// its vertical-neighbour pattern by [`CompiledModel::stencil_row`].
-    /// Returns the tracked L∞ change (0.0 when `!TRACK`).
+    /// grid in explicit 8-wide lanes ([`crate::lanes::W8`]): 8-wide
+    /// grids through [`CompiledModel::stencil_pass_w8`], every other
+    /// width through [`CompiledModel::stencil_pass_flat`]. Returns the
+    /// tracked L∞ change (0.0 when `!TRACK`).
     fn substep_stencil<const LEAKY: bool, const TRACK: bool>(
         &self,
         t: &[f64],
@@ -499,55 +532,10 @@ impl CompiledModel {
         h: f64,
     ) -> f64 {
         let ctx = LaneCtx::new(self, leak, h);
-        let rows = self.rows;
-        // Exactly-one-chunk rows (the 8-wide register files every
-        // shipped floorplan uses) take the specialized whole-grid pass:
-        // rolling row registers, no per-row slicing, masked vertical
-        // edges — bit-identical by the same masked-conductance argument
-        // as the lateral edges.
         if self.cols == LANES {
-            return self.stencil_pass_w8::<LEAKY, TRACK>(t, power, next, prev, &ctx);
-        }
-        // Lane-wise change accumulators are folded across all rows and
-        // reduced to a scalar exactly once — `max` is exactly
-        // associative, so deferring the horizontal reduction cannot
-        // change the result, and per-row `reduce_max` calls are the
-        // single most expensive instruction sequence in the pass.
-        let (mut vacc, mut sacc) = (ctx.zero, 0.0f64);
-        if rows == 1 {
-            let (v, s) = self
-                .stencil_row::<LEAKY, false, false, TRACK>(t, power, leak, next, prev, 0, h, &ctx);
-            vacc = v;
-            sacc = s;
+            self.stencil_pass_w8::<LEAKY, TRACK>(t, power, next, prev, &ctx)
         } else {
-            let (v, s) = self
-                .stencil_row::<LEAKY, false, true, TRACK>(t, power, leak, next, prev, 0, h, &ctx);
-            vacc = vacc.max(v);
-            sacc = sacc.max(s);
-            for r in 1..rows - 1 {
-                let (v, s) = self.stencil_row::<LEAKY, true, true, TRACK>(
-                    t, power, leak, next, prev, r, h, &ctx,
-                );
-                vacc = vacc.max(v);
-                sacc = sacc.max(s);
-            }
-            let (v, s) = self.stencil_row::<LEAKY, true, false, TRACK>(
-                t,
-                power,
-                leak,
-                next,
-                prev,
-                rows - 1,
-                h,
-                &ctx,
-            );
-            vacc = vacc.max(v);
-            sacc = sacc.max(s);
-        }
-        if TRACK {
-            vacc.reduce_max().max(sacc)
-        } else {
-            0.0
+            self.stencil_pass_flat::<LEAKY, TRACK>(t, power, next, prev, &ctx)
         }
     }
 
@@ -555,19 +543,19 @@ impl CompiledModel {
     /// (`cols == LANES`) — the shipped 8-wide register files, hence the
     /// hottest loop in the repository.
     ///
-    /// Compared with the generic per-row path it removes every per-row
-    /// cost: function-call and slicing overhead, bounds-checked lane
-    /// loads, and re-loading the three neighbour rows (the current row
-    /// becomes the next row's `up` register, the prefetched row below
-    /// becomes the next `ti`). The vertical edges use the same
-    /// masked-conductance trick as the lateral ones: the first/last row
-    /// reads *itself* as its missing neighbour against a conductance of
-    /// `0.0`, so the masked term is exactly `(ti − ti)·0.0 = +0.0` and
-    /// subtracting it reproduces the unmasked flow bit for bit.
+    /// Compared with the flat pass it needs no neighbour masks and
+    /// loads each row once: the current row becomes the next row's
+    /// `up` register, the prefetched row below becomes the next `ti`,
+    /// and the left and right neighbours are in-register shifts. The
+    /// vertical edges use the same masked-conductance trick as the
+    /// lateral ones: the first/last row reads *itself* as its missing
+    /// neighbour against a conductance of `0.0`, so the masked term is
+    /// exactly `(ti − ti)·0.0 = +0.0` and subtracting it reproduces the
+    /// unmasked flow bit for bit.
     ///
     /// Returns the tracked L∞ change (0.0 when `!TRACK`); `prev`'s
     /// compare-and-overwrite semantics match
-    /// [`stencil_row`](Self::stencil_row).
+    /// [`stencil_pass_flat`](Self::stencil_pass_flat).
     #[inline(always)]
     fn stencil_pass_w8<const LEAKY: bool, const TRACK: bool>(
         &self,
@@ -645,70 +633,104 @@ impl CompiledModel {
         }
     }
 
-    /// One row of the fused stencil sub-step, monomorphized over whether
-    /// the row above (`UP`) / below (`DOWN`) exists.
+    /// The fused pass for every grid width except 8: the row-major grid
+    /// cut into ⌈n/8⌉ flat chunks, which may start mid-row and span
+    /// several rows.
     ///
-    /// Full 8-lane chunks run through [`W8`]; the missing left/right
-    /// neighbour at a row edge is handled by the *masked-conductance*
-    /// trick — the edge lane reads the cell itself as its neighbour and
-    /// multiplies by a conductance lane of `0.0`, so the masked term is
-    /// exactly `(ti − ti)·0.0 = +0.0` and `flow − (+0.0)` reproduces
-    /// `flow` bit for bit (only a `−0.0 − (−0.0)` difference could
-    /// perturb bits, and self-as-neighbour rules it out). The `cols %
-    /// 8` tail — and every row of grids narrower than 8 — runs the
-    /// scalar cell loop with the same fold order. Per-lane operation
-    /// order matches the naive solver exactly: leakage
-    /// `(pc·(1+co·(T−Tr))).max(0)`, then `flow = pw − (T−amb)·g_vert`,
-    /// then the up/down/left/right conductance terms in
-    /// `Floorplan::neighbors` order, then `T + h·flow/cap`.
+    /// Each chunk reads its up, down, left and right neighbours at
+    /// offsets −cols, +cols, −1 and +1 under the chunk's
+    /// [`ChunkMasks`]. A lane without that neighbour reads the cell
+    /// itself, so its term is exactly `(ti − ti)·g = +0.0` and
+    /// subtracting it reproduces the naive step's skipped term bit for
+    /// bit (as in [`stencil_pass_w8`](Self::stencil_pass_w8)). The last
+    /// chunk, when `n % 8 ≠ 0`, loads and stores only its real cells:
+    /// its padding lanes compute from ambient and zero power, and read
+    /// their own new value as `prev`, so they add `+0.0` to the tracked
+    /// change.
     ///
-    /// Returns this row's tracked change as a `(lane, scalar-tail)`
-    /// accumulator pair — the caller folds rows lane-wise and performs
-    /// the horizontal reduction once per sub-step (both zero when
-    /// `!TRACK`). When `TRACK`, the row of `prev` is overwritten with
-    /// the new temperatures (lane `max` folds are exactly associative,
-    /// so the split accumulators cannot change the result).
-    #[allow(clippy::too_many_arguments)]
+    /// Returns the tracked L∞ change (0.0 when `!TRACK`). When `TRACK`,
+    /// `prev` is overwritten with the new temperatures; folding the
+    /// change lane-wise and reducing once is exact, because `max` is
+    /// exactly associative.
     #[inline(always)]
-    fn stencil_row<const LEAKY: bool, const UP: bool, const DOWN: bool, const TRACK: bool>(
+    fn stencil_pass_flat<const LEAKY: bool, const TRACK: bool>(
         &self,
         t: &[f64],
         power: &[f64],
-        leak: &LeakageParams,
         next: &mut [f64],
         prev: &mut [f64],
-        r: usize,
-        h: f64,
         ctx: &LaneCtx,
-    ) -> (W8, f64) {
-        let cols = self.cols;
-        let (g_vert, g_lat, amb, cap) = (self.g_vert, self.g_lat, self.ambient, self.cap);
-        let base = r * cols;
-        let row = &t[base..base + cols];
-        // Never read when the corresponding neighbour row is absent
-        // (`UP` / `DOWN` are compile-time constants).
-        let up_row = if UP { &t[base - cols..base] } else { row };
-        let down_row = if DOWN {
-            &t[base + cols..base + 2 * cols]
-        } else {
-            row
+    ) -> f64 {
+        let n = self.n;
+        assert!(t.len() >= n && power.len() >= n && next.len() >= n);
+        if TRACK {
+            assert!(prev.len() >= n);
+        }
+        let bufs = PassBufs {
+            t: t.as_ptr(),
+            power: power.as_ptr(),
+            next: next.as_mut_ptr(),
+            prev: prev.as_mut_ptr(),
         };
-        let p = &power[base..base + cols];
-        let out = &mut next[base..base + cols];
-        let prow: &mut [f64] = if TRACK {
-            &mut prev[base..base + cols]
-        } else {
-            &mut []
-        };
-
+        let whole = n / LANES;
         let mut acc = ctx.zero;
-        let mut scalar_acc = 0.0f64;
-        let mut c0 = 0;
-        while c0 + LANES <= cols {
-            let ti = W8::read(&row[c0..]);
-            let access = W8::read(&p[c0..]);
+        // SAFETY: chunk `k` covers cells `[8k, 8k + 8)`; the whole
+        // chunks (`k < n / 8`) lie inside `[0, n)`, and the last chunk's
+        // cell loads and stores are masked to its cells below `n` — in
+        // range of all four buffers by the length asserts above. Every
+        // neighbour load sets only the lanes whose neighbour exists, and
+        // that neighbour is a cell of the grid, so below `n` too
+        // (`CompiledModel::new` builds the masks that way). The buffers
+        // are distinct slices, so no load observes a store of this pass.
+        unsafe {
+            for (k, m) in self.chunks[..whole].iter().enumerate() {
+                acc = self.flat_chunk::<LEAKY, TRACK, false>(&bufs, k * LANES, m, ctx, acc);
+            }
+            if let Some(m) = self.chunks.get(whole) {
+                acc = self.flat_chunk::<LEAKY, TRACK, true>(&bufs, whole * LANES, m, ctx, acc);
+            }
+        }
+        if TRACK {
+            acc.reduce_max()
+        } else {
+            0.0
+        }
+    }
+
+    /// One chunk of [`stencil_pass_flat`](Self::stencil_pass_flat), at
+    /// cell `base`; `PARTIAL` marks the padded last chunk. Per lane the
+    /// fold order is the naive step's: leakage
+    /// `(pc·(1+co·(T−Tr))).max(0)`, then `flow = pw − (T−amb)·g_vert`,
+    /// then the up, down, left and right terms in
+    /// `Floorplan::neighbors` order, then `T + h·flow/cap`. Returns
+    /// `acc` with this chunk's tracked change folded in.
+    ///
+    /// # Safety
+    ///
+    /// As the `SAFETY` note of the pass: `base` is a chunk start, `m`
+    /// its masks, and `bufs` points at buffers of at least `n` cells.
+    #[inline(always)]
+    unsafe fn flat_chunk<const LEAKY: bool, const TRACK: bool, const PARTIAL: bool>(
+        &self,
+        bufs: &PassBufs,
+        base: usize,
+        m: &ChunkMasks,
+        ctx: &LaneCtx,
+        mut acc: W8,
+    ) -> W8 {
+        let cols = self.cols;
+        let cell = bufs.t.wrapping_add(base);
+        // SAFETY: see the function's contract.
+        unsafe {
+            let (ti, access) = if PARTIAL {
+                (
+                    W8::load_or(cell, self.last, ctx.amb),
+                    W8::load_or(bufs.power.add(base), self.last, ctx.zero),
+                )
+            } else {
+                (W8::load(cell), W8::load(bufs.power.add(base)))
+            };
             let pw = if LEAKY {
-                // (pc · (1 + co·(ti − tr))).max(0), scalar op for op.
                 let lk = ctx
                     .pc
                     .mul(ctx.one.add(ctx.co.mul(ti.sub(ctx.tr))))
@@ -718,68 +740,79 @@ impl CompiledModel {
                 access
             };
             let mut flow = pw.sub(ti.sub(ctx.amb).mul(ctx.gv));
-            if UP {
-                flow = flow.sub(ti.sub(W8::read(&up_row[c0..])).mul(ctx.g));
-            }
-            if DOWN {
-                flow = flow.sub(ti.sub(W8::read(&down_row[c0..])).mul(ctx.g));
-            }
-            let first = c0 == 0;
-            let last = c0 + LANES == cols;
-            let left = if first {
-                ti.shift_head_dup()
-            } else {
-                W8::read(&row[c0 - 1..])
-            };
-            let gl = if first { ctx.gl_first } else { ctx.g };
-            flow = flow.sub(ti.sub(left).mul(gl));
-            let right = if last {
-                ti.shift_tail_dup()
-            } else {
-                W8::read(&row[c0 + 1..])
-            };
-            let gr = if last { ctx.gr_last } else { ctx.g };
-            flow = flow.sub(ti.sub(right).mul(gr));
+            let up = W8::load_or(cell.wrapping_sub(cols), m.up, ti);
+            flow = flow.sub(ti.sub(up).mul(ctx.g));
+            let down = W8::load_or(cell.wrapping_add(cols), m.down, ti);
+            flow = flow.sub(ti.sub(down).mul(ctx.g));
+            let left = W8::load_or(cell.wrapping_sub(1), m.left, ti);
+            flow = flow.sub(ti.sub(left).mul(ctx.g));
+            let right = W8::load_or(cell.wrapping_add(1), m.right, ti);
+            flow = flow.sub(ti.sub(right).mul(ctx.g));
             let out_v = ti.add(ctx.h.mul(flow).div(ctx.cap));
-            out_v.write(&mut out[c0..]);
-            if TRACK {
-                let pv = W8::read(&prow[c0..]);
-                acc = acc.max(out_v.sub(pv).abs());
-                out_v.write(&mut prow[c0..]);
-            }
-            c0 += LANES;
-        }
-        // Scalar tail (and whole rows of grids narrower than 8 lanes):
-        // identical fold order, edge neighbours simply skipped.
-        for c in c0..cols {
-            let ti = row[c];
-            let access = p[c];
-            let pw = if LEAKY {
-                access + leak_at(leak, ti)
+            let (np, prevp) = (bufs.next.add(base), bufs.prev.wrapping_add(base));
+            if PARTIAL {
+                out_v.store_masked(np, self.last);
             } else {
-                access
-            };
-            let mut flow = pw - (ti - amb) * g_vert;
-            if UP {
-                flow -= (ti - up_row[c]) * g_lat;
+                out_v.store(np);
             }
-            if DOWN {
-                flow -= (ti - down_row[c]) * g_lat;
-            }
-            if c > 0 {
-                flow -= (ti - row[c - 1]) * g_lat;
-            }
-            if c + 1 < cols {
-                flow -= (ti - row[c + 1]) * g_lat;
-            }
-            let nv = ti + h * flow / cap;
-            out[c] = nv;
             if TRACK {
-                scalar_acc = scalar_acc.max((nv - prow[c]).abs());
-                prow[c] = nv;
+                let pv = if PARTIAL {
+                    W8::load_or(prevp, self.last, out_v)
+                } else {
+                    W8::load(prevp)
+                };
+                acc = acc.max(out_v.sub(pv).abs());
+                if PARTIAL {
+                    out_v.store_masked(prevp, self.last);
+                } else {
+                    out_v.store(prevp);
+                }
             }
         }
-        (acc, scalar_acc)
+        acc
+    }
+}
+
+/// The buffers one flat stencil pass reads and writes.
+struct PassBufs {
+    t: *const f64,
+    power: *const f64,
+    next: *mut f64,
+    /// Unused (and possibly dangling) unless the pass tracks.
+    prev: *mut f64,
+}
+
+/// Which lanes of one flat chunk have each neighbour — built once by
+/// [`CompiledModel::new`] for grids that are not 8 wide. A lane past
+/// the last cell has none.
+#[derive(Copy, Clone, Debug)]
+struct ChunkMasks {
+    up: M8,
+    down: M8,
+    left: M8,
+    right: M8,
+}
+
+impl ChunkMasks {
+    /// The masks of every chunk of a `rows × cols` grid.
+    fn grid(rows: usize, cols: usize) -> Vec<ChunkMasks> {
+        let n = rows * cols;
+        // Lane `i` of chunk `k` is set when cell `8k + i` exists and has
+        // the neighbour.
+        let lanes = |k: usize, has: &dyn Fn(usize) -> bool| {
+            M8::from_bits((0..LANES).fold(0, |bits, i| {
+                let c = k * LANES + i;
+                bits | u8::from(c < n && has(c)) << i
+            }))
+        };
+        (0..n.div_ceil(LANES))
+            .map(|k| ChunkMasks {
+                up: lanes(k, &|c| c >= cols),
+                down: lanes(k, &|c| c + cols < n),
+                left: lanes(k, &|c| c % cols != 0),
+                right: lanes(k, &|c| c % cols + 1 != cols),
+            })
+            .collect()
     }
 }
 

@@ -12,7 +12,8 @@
 //!   analysis grids.
 
 use tadfa_thermal::{
-    Floorplan, LeakageParams, RcParams, SteadyStateOptions, StepScratch, ThermalModel, ThermalState,
+    Floorplan, LeakageParams, PowerModel, RcParams, SteadyStateOptions, StepScratch, ThermalModel,
+    ThermalState,
 };
 
 /// Deterministic xorshift64* generator — enough randomness for property
@@ -35,10 +36,14 @@ impl Rng {
     }
 }
 
-/// Degenerate shapes, odd row widths, and every dispatch tier of the
-/// widened stencil: widths below one 8-lane chunk, exactly one chunk
-/// (the whole-grid `stencil_pass_w8` specialization, single- and
-/// multi-row), full-chunks-plus-tail, and multiple full chunks.
+/// Degenerate shapes, odd row widths, and both lane passes of the
+/// stencil: exactly 8 wide (the whole-grid `stencil_pass_w8`, single-
+/// and multi-row), and every other width through the flat pass, which
+/// cuts the row-major grid into 8-cell chunks. Besides the committed
+/// 4×4 and 6×6 register files, widths 3, 5, 6 and 7 each get one shape
+/// per chunk phase, in this order: fewer than 8 cells (one padded
+/// chunk), a whole number of chunks, a padded last chunk, and a tall
+/// grid whose chunks start mid-row at many column offsets.
 const SHAPES: &[(usize, usize)] = &[
     (1, 1),
     (1, 2),
@@ -58,6 +63,24 @@ const SHAPES: &[(usize, usize)] = &[
     (3, 11),
     (7, 13),
     (2, 16),
+    (4, 4),
+    (6, 6),
+    (2, 3),
+    (8, 3),
+    (4, 3),
+    (11, 3),
+    (1, 5),
+    (8, 5),
+    (3, 5),
+    (9, 5),
+    (1, 6),
+    (4, 6),
+    (2, 6),
+    (7, 6),
+    (1, 7),
+    (8, 7),
+    (2, 7),
+    (9, 7),
 ];
 
 fn random_power(rng: &mut Rng, n: usize) -> Vec<f64> {
@@ -246,4 +269,83 @@ fn nonuniform_rc_parameters_stay_bit_identical() {
         solver.step_into(&mut fast, &power, 1e-3, &mut scratch);
     }
     assert_eq!(bits(naive.temps()), bits(fast.temps()));
+}
+
+/// Powers at the edges of the format beside real watts: `+0.0`, `-0.0`,
+/// the smallest subnormal, and a subnormal near the normal range.
+fn edge_power(rng: &mut Rng, n: usize) -> Vec<f64> {
+    let edges = [0.0, -0.0, f64::from_bits(1), f64::MIN_POSITIVE / 3.0];
+    (0..n)
+        .map(|_| match rng.next_u64() % 6 {
+            k @ 0..=3 => edges[k as usize],
+            _ => rng.next_f64() * 2e-3,
+        })
+        .collect()
+}
+
+#[test]
+fn signed_zero_and_subnormal_powers_stay_bit_identical() {
+    // The dense, leaky and tracked entries, on one sub-step and
+    // sub-stepped, each against the naive step (plus leakage, plus a
+    // separate L∞ fold). The sparse entries scatter their deposits into
+    // zeros first, so the oracle does too.
+    let mut rng = Rng(0x0b5e_55ed_5eed_0035);
+    let pm = PowerModel::default();
+    let leak = pm.leakage_params();
+    for &(rows, cols) in SHAPES {
+        let model = ThermalModel::new(Floorplan::grid(rows, cols), RcParams::default());
+        let solver = model.compile();
+        let n = rows * cols;
+        let power = edge_power(&mut rng, n);
+        let deposits: Vec<(u32, f64)> = (0..n)
+            .filter(|&i| power[i].to_bits() != 0)
+            .map(|i| (i as u32, power[i]))
+            .collect();
+        let mut scattered = vec![0.0; n];
+        for &(p, w) in &deposits {
+            scattered[p as usize] += w;
+        }
+        for dt in [3e-6, 5e-3] {
+            let mut naive = model.ambient_state();
+            let mut dense = model.ambient_state();
+            let mut scratch = StepScratch::new();
+            for _ in 0..3 {
+                model.step(&mut naive, &power, dt);
+                solver.step_into(&mut dense, &power, dt, &mut scratch);
+            }
+            assert_eq!(
+                bits(naive.temps()),
+                bits(dense.temps()),
+                "dense {rows}x{cols} dt {dt}"
+            );
+
+            let sched = solver.schedule(dt);
+            for leaky in [false, true] {
+                let label = format!("{rows}x{cols} dt {dt} leaky {leaky}");
+                let mut oracle = model.ambient_state();
+                let mut tracked = model.ambient_state();
+                let mut oracle_prev = vec![solver.ambient() - 1.0; n];
+                let mut tracked_prev = oracle_prev.clone();
+                for _ in 0..3 {
+                    let mut p = scattered.clone();
+                    if leaky {
+                        pm.add_leakage(&mut p, &oracle);
+                    }
+                    model.step(&mut oracle, &p, dt);
+                    let want = ThermalState::linf_update_slices(&mut oracle_prev, oracle.temps());
+                    let got = solver.step_sparse_tracked_into(
+                        &mut tracked,
+                        &deposits,
+                        &sched,
+                        leaky.then_some(&leak),
+                        &mut scratch,
+                        &mut tracked_prev,
+                    );
+                    assert_eq!(got.to_bits(), want.to_bits(), "change {label}");
+                }
+                assert_eq!(bits(oracle.temps()), bits(tracked.temps()), "temps {label}");
+                assert_eq!(bits(&oracle_prev), bits(&tracked_prev), "prev {label}");
+            }
+        }
+    }
 }

@@ -221,6 +221,34 @@ fn cold_functions(seed: u64, count: usize) -> Vec<Function> {
         .collect()
 }
 
+/// The 4×4 and 6×6 register files most committed specs analyse on:
+/// their grids take the flat lane pass, not the 8-wide one. Production
+/// sweep and oracle must agree state by state under both merge rules,
+/// with leakage on every other input.
+#[test]
+fn narrow_register_files_match_the_oracle_state_by_state() {
+    let funcs = cold_functions(0x5EED_0035, 8);
+    for (rows, cols) in [(4, 4), (6, 6)] {
+        let rf = RegisterFile::new(Floorplan::grid(rows, cols));
+        let grid = AnalysisGrid::full(&rf, RcParams::default());
+        for (i, f) in funcs.iter().enumerate() {
+            let mut f = f.clone();
+            let alloc =
+                allocate_linear_scan(&mut f, &rf, &mut FirstFree, &RegAllocConfig::default())
+                    .expect("generated code allocates");
+            for merge in [MergeRule::Max, MergeRule::Average] {
+                let cfg = ThermalDfaConfig {
+                    leakage_feedback: i % 2 == 1,
+                    ..ThermalDfaConfig::default().with_merge(merge)
+                };
+                let dfa = ThermalDfa::new(&f, &alloc.assignment, &grid, PowerModel::default(), cfg)
+                    .unwrap();
+                matches_the_oracle(&dfa, &format!("{rows}x{cols}, input {i}, {merge:?}"));
+            }
+        }
+    }
+}
+
 /// The places where deferring the acyclic tail could go wrong, each
 /// against the oracle, which never defers: residuals near the rounding
 /// floor, runs that stop at the cap with the tail behind, leakage,
