@@ -1,19 +1,19 @@
 //! # tadfa-dataflow — classic dataflow analyses
 //!
 //! The dataflow substrate of the *Thermal-Aware Data Flow Analysis*
-//! reproduction (DAC 2009): a generic worklist solver plus the classic
-//! analyses the allocators and the predictive thermal mode consume:
+//! reproduction (DAC 2009): the classic analyses the allocator and the
+//! predictive thermal mode consume:
 //!
-//! * [`Liveness`] — one bit per variable; feeds interference-based
-//!   register allocation and the register-pressure measurements of §2;
+//! * [`Liveness`] — one bit per variable, iterated backward to a
+//!   fixpoint; feeds linear-scan allocation, its interference check and
+//!   the register-pressure measurements of §2;
 //! * [`DefUse`] — def-use chains with loop-weighted access frequencies,
 //!   the static activity estimate used by the predictive thermal mode;
 //! * [`LiveIntervals`] — the linear-scan view of liveness used by
 //!   `tadfa-regalloc`.
 //!
-//! The thermal analysis itself lives in `tadfa-core`; it follows the same
-//! [`solver`] structure but propagates a thermal-state vector instead of a
-//! bit set.
+//! The thermal analysis itself lives in `tadfa-core`; it iterates the
+//! same way but propagates a thermal-state vector instead of a bit set.
 //!
 //! ## Example
 //!
@@ -42,10 +42,8 @@ mod bitset;
 mod defuse;
 mod intervals;
 mod liveness;
-pub mod solver;
 
 pub use bitset::{DenseBitSet, Iter};
 pub use defuse::{DefUse, UseSite};
 pub use intervals::{LiveInterval, LiveIntervals};
 pub use liveness::Liveness;
-pub use solver::{solve, Analysis, BlockFacts, Direction};

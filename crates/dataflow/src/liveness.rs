@@ -6,49 +6,26 @@
 //! other's definition (§2).
 
 use crate::bitset::DenseBitSet;
-use crate::solver::{solve, Analysis, Direction};
-use tadfa_ir::{BlockId, Cfg, Function, InstId, VReg};
+use tadfa_ir::{BlockId, Cfg, Function, Inst, InstId, VReg};
 
-struct LivenessAnalysis {
-    nvregs: usize,
+/// Steps `live` backward over `bb`'s terminator: the registers it
+/// reads become live.
+fn add_terminator_uses(func: &Function, bb: BlockId, live: &mut DenseBitSet) {
+    if let Some(t) = func.terminator(bb) {
+        for u in t.uses() {
+            live.insert(u.index());
+        }
+    }
 }
 
-impl Analysis for LivenessAnalysis {
-    type Fact = DenseBitSet;
-
-    fn direction(&self) -> Direction {
-        Direction::Backward
+/// Steps `live` backward over one instruction: its definition dies
+/// and the registers it reads become live.
+fn step_back(inst: &Inst, live: &mut DenseBitSet) {
+    if let Some(d) = inst.def() {
+        live.remove(d.index());
     }
-
-    fn boundary_fact(&self) -> DenseBitSet {
-        DenseBitSet::new(self.nvregs)
-    }
-
-    fn init_fact(&self) -> DenseBitSet {
-        DenseBitSet::new(self.nvregs)
-    }
-
-    fn join(&self, into: &mut DenseBitSet, from: &DenseBitSet) -> bool {
-        into.union_with(from)
-    }
-
-    fn transfer_block(&self, func: &Function, bb: BlockId, fact: &mut DenseBitSet) {
-        // Backward: fact arrives as live-out; apply instructions in
-        // reverse to produce live-in.
-        if let Some(t) = func.terminator(bb) {
-            for u in t.uses() {
-                fact.insert(u.index());
-            }
-        }
-        for &id in func.block(bb).insts().iter().rev() {
-            let inst = func.inst(id);
-            if let Some(d) = inst.def() {
-                fact.remove(d.index());
-            }
-            for &u in inst.uses() {
-                fact.insert(u.index());
-            }
-        }
+    for &u in inst.uses() {
+        live.insert(u.index());
     }
 }
 
@@ -83,13 +60,40 @@ pub struct Liveness {
 
 impl Liveness {
     /// Runs the backward fixpoint and captures per-block sets.
+    ///
+    /// Each pass visits the reachable blocks in post-order, so a block
+    /// follows its successors except across back edges, and reuses one
+    /// scratch set throughout. A pass that changes no live-in set leaves
+    /// every live-out set final too. Unreachable blocks keep empty sets.
     pub fn compute(func: &Function, cfg: &Cfg) -> Liveness {
         let nvregs = func.num_vregs();
-        let facts = solve(func, cfg, &LivenessAnalysis { nvregs });
-        // Backward: input = live-out, output = live-in.
+        let mut live = DenseBitSet::new(nvregs);
+        let mut live_in = vec![live.clone(); func.num_blocks()];
+        let mut live_out = live_in.clone();
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for &bb in cfg.rpo().iter().rev() {
+                let out = &mut live_out[bb.index()];
+                out.clear();
+                for s in cfg.succs(bb) {
+                    out.union_with(&live_in[s.index()]);
+                }
+                live.clear();
+                live.union_with(out);
+                add_terminator_uses(func, bb, &mut live);
+                for &id in func.block(bb).insts().iter().rev() {
+                    step_back(func.inst(id), &mut live);
+                }
+                if live != live_in[bb.index()] {
+                    std::mem::swap(&mut live, &mut live_in[bb.index()]);
+                    changed = true;
+                }
+            }
+        }
         Liveness {
-            live_out: facts.input,
-            live_in: facts.output,
+            live_in,
+            live_out,
             nvregs,
         }
     }
@@ -127,20 +131,10 @@ impl Liveness {
         let insts = func.block(bb).insts();
         let mut out: Vec<(InstId, DenseBitSet)> = Vec::with_capacity(insts.len());
         let mut live = self.live_out[bb.index()].clone();
-        if let Some(t) = func.terminator(bb) {
-            for u in t.uses() {
-                live.insert(u.index());
-            }
-        }
+        add_terminator_uses(func, bb, &mut live);
         for &id in insts.iter().rev() {
             out.push((id, live.clone()));
-            let inst = func.inst(id);
-            if let Some(d) = inst.def() {
-                live.remove(d.index());
-            }
-            for &u in inst.uses() {
-                live.insert(u.index());
-            }
+            step_back(func.inst(id), &mut live);
         }
         out.reverse();
         out
@@ -155,20 +149,10 @@ impl Liveness {
         for bb in func.block_ids() {
             max = max.max(self.live_in[bb.index()].count());
             let mut live = self.live_out[bb.index()].clone();
-            if let Some(t) = func.terminator(bb) {
-                for u in t.uses() {
-                    live.insert(u.index());
-                }
-            }
+            add_terminator_uses(func, bb, &mut live);
             max = max.max(live.count());
             for &id in func.block(bb).insts().iter().rev() {
-                let inst = func.inst(id);
-                if let Some(d) = inst.def() {
-                    live.remove(d.index());
-                }
-                for &u in inst.uses() {
-                    live.insert(u.index());
-                }
+                step_back(func.inst(id), &mut live);
                 max = max.max(live.count());
             }
         }

@@ -86,7 +86,7 @@ impl Assignment {
     }
 }
 
-/// Errors produced by the allocators.
+/// Errors produced by the allocator.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum RegAllocError {
     /// The register file has too few registers to hold even the spill

@@ -4,42 +4,23 @@
 //! Interfering variables cannot be assigned to the same register" (§2).
 
 use tadfa_dataflow::{DenseBitSet, Liveness};
-use tadfa_ir::{Cfg, Function, Opcode, VReg};
+use tadfa_ir::{Function, Opcode, VReg};
 
-/// Undirected interference graph over a function's virtual registers.
+/// Undirected interference graph over a function's virtual registers,
+/// the oracle behind [`validate_assignment`](crate::validate_assignment).
 ///
 /// Built from per-instruction liveness: a definition interferes with
 /// every register live after the defining instruction (minus itself, and
 /// minus the copy source for `mov` — the classic coalescing-friendly
 /// exception).
-///
-/// # Examples
-///
-/// ```
-/// use tadfa_ir::{FunctionBuilder, Cfg};
-/// use tadfa_dataflow::Liveness;
-/// use tadfa_regalloc::InterferenceGraph;
-///
-/// let mut b = FunctionBuilder::new("f");
-/// let x = b.param();
-/// let y = b.add(x, x);
-/// let z = b.add(y, x); // x live across y's definition
-/// b.ret(Some(z));
-/// let f = b.finish();
-/// let cfg = Cfg::compute(&f);
-/// let live = Liveness::compute(&f, &cfg);
-/// let ig = InterferenceGraph::build(&f, &cfg, &live);
-/// assert!(ig.interferes(x, y));
-/// assert!(!ig.interferes(y, z));
-/// ```
 #[derive(Clone, Debug)]
-pub struct InterferenceGraph {
+pub(crate) struct InterferenceGraph {
     adj: Vec<DenseBitSet>,
 }
 
 impl InterferenceGraph {
     /// Builds the graph from liveness information.
-    pub fn build(func: &Function, _cfg: &Cfg, live: &Liveness) -> InterferenceGraph {
+    pub(crate) fn build(func: &Function, live: &Liveness) -> InterferenceGraph {
         let n = func.num_vregs();
         let mut adj = vec![DenseBitSet::new(n); n];
         let add_edge = |adj: &mut Vec<DenseBitSet>, a: usize, b: usize| {
@@ -79,51 +60,26 @@ impl InterferenceGraph {
         InterferenceGraph { adj }
     }
 
-    /// Number of virtual registers (nodes).
-    pub fn num_nodes(&self) -> usize {
-        self.adj.len()
-    }
-
     /// Whether `a` and `b` interfere.
-    pub fn interferes(&self, a: VReg, b: VReg) -> bool {
+    #[cfg(test)]
+    fn interferes(&self, a: VReg, b: VReg) -> bool {
         self.adj[a.index()].contains(b.index())
     }
 
-    /// Interference degree of `v`.
-    pub fn degree(&self, v: VReg) -> usize {
-        self.adj[v.index()].count()
-    }
-
     /// Neighbours of `v`.
-    pub fn neighbors(&self, v: VReg) -> impl Iterator<Item = VReg> + '_ {
+    pub(crate) fn neighbors(&self, v: VReg) -> impl Iterator<Item = VReg> + '_ {
         self.adj[v.index()].iter().map(|i| VReg::new(i as u32))
-    }
-
-    /// Total number of interference edges.
-    pub fn num_edges(&self) -> usize {
-        self.adj.iter().map(DenseBitSet::count).sum::<usize>() / 2
-    }
-
-    /// Maximum degree over all nodes — a lower-bound indicator of
-    /// colourability pressure.
-    pub fn max_degree(&self) -> usize {
-        (0..self.adj.len())
-            .map(|i| self.adj[i].count())
-            .max()
-            .unwrap_or(0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tadfa_dataflow::Liveness;
-    use tadfa_ir::FunctionBuilder;
+    use tadfa_ir::{Cfg, FunctionBuilder};
 
     fn graph_of(f: &Function) -> InterferenceGraph {
-        let cfg = Cfg::compute(f);
-        let live = Liveness::compute(f, &cfg);
-        InterferenceGraph::build(f, &cfg, &live)
+        let live = Liveness::compute(f, &Cfg::compute(f));
+        InterferenceGraph::build(f, &live)
     }
 
     #[test]
@@ -190,12 +146,16 @@ mod tests {
         b.ret(Some(z));
         let f = b.finish();
         let ig = graph_of(&f);
-        assert_eq!(ig.num_nodes(), f.num_vregs());
-        assert!(ig.num_edges() >= 2);
-        assert!(ig.max_degree() >= 2);
         let n: Vec<VReg> = ig.neighbors(x).collect();
         assert!(n.contains(&y));
-        assert_eq!(ig.degree(x), n.len());
+        let interfering = (0..f.num_vregs() as u32)
+            .filter(|&v| ig.interferes(x, VReg::new(v)))
+            .count();
+        assert_eq!(
+            n.len(),
+            interfering,
+            "neighbours are exactly the interferences"
+        );
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //!   spreading policies §4 motivates, the last one driven by an external
 //!   heat map (e.g. the thermal DFA's prediction).
 //!
-//! Two allocators host the policies: [`allocate_linear_scan`] and
-//! [`allocate_coloring`]; both spill through
-//! [`rewrite_spills`] and re-run until allocatable.
+//! One allocator hosts every policy: [`allocate_linear_scan`], which
+//! spills through [`rewrite_spills`] and re-runs until allocatable.
+//! [`validate_assignment`] checks its result against the interference
+//! of per-instruction liveness.
 //!
 //! ## Example
 //!
@@ -45,15 +46,12 @@
 #![warn(missing_debug_implementations)]
 
 mod assignment;
-mod coloring;
 mod interference;
 mod linear_scan;
 mod policy;
 mod spill;
 
 pub use assignment::{AllocStats, AllocationResult, Assignment, RegAllocError};
-pub use coloring::allocate_coloring;
-pub use interference::InterferenceGraph;
 pub use linear_scan::{allocate_linear_scan, validate_assignment, RegAllocConfig};
 pub use policy::{
     policy_by_name, AssignmentPolicy, Chessboard, ChoiceContext, ColdestFirst, FarthestSpread,

@@ -7,7 +7,7 @@ use tadfa_dataflow::{LiveIntervals, Liveness};
 use tadfa_ir::{Cfg, Function, PReg, VReg, Verifier};
 use tadfa_thermal::RegisterFile;
 
-/// Allocator configuration shared by both allocators.
+/// Allocator configuration.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct RegAllocConfig {
     /// Maximum spill-and-retry rounds before giving up.
@@ -159,10 +159,35 @@ pub fn allocate_linear_scan(
 ///
 /// This is the allocator's own acceptance test, also used by the property
 /// tests.
+///
+/// # Examples
+///
+/// ```
+/// use tadfa_ir::{FunctionBuilder, PReg};
+/// use tadfa_regalloc::{validate_assignment, Assignment};
+///
+/// let mut b = FunctionBuilder::new("f");
+/// let x = b.param();
+/// let y = b.add(x, x);
+/// let z = b.add(y, x); // x live across y's definition
+/// b.ret(Some(z));
+/// let f = b.finish();
+///
+/// // x and y interfere, so they may not share a register...
+/// let mut a = Assignment::new(f.num_vregs(), 4);
+/// a.assign(x, PReg::new(0));
+/// a.assign(y, PReg::new(0));
+/// assert_eq!(validate_assignment(&f, &a), vec![(x, y)]);
+///
+/// // ...but y dies defining z, so those two may.
+/// a.assign(x, PReg::new(1));
+/// a.assign(z, PReg::new(0));
+/// assert!(validate_assignment(&f, &a).is_empty());
+/// ```
 pub fn validate_assignment(func: &Function, assignment: &Assignment) -> Vec<(VReg, VReg)> {
     let cfg = Cfg::compute(func);
     let live = Liveness::compute(func, &cfg);
-    let ig = crate::interference::InterferenceGraph::build(func, &cfg, &live);
+    let ig = crate::interference::InterferenceGraph::build(func, &live);
     let mut bad = Vec::new();
     for i in 0..func.num_vregs() {
         let a = VReg::new(i as u32);

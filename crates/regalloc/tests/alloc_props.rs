@@ -1,5 +1,6 @@
-//! Property tests for the allocators: on randomly shaped functions,
-//! every policy must produce interference-free assignments, and spill
+//! Property tests for the allocator: on randomly shaped functions,
+//! every policy must produce interference-free assignments, the
+//! liveness it reads must match a per-instruction oracle, and spill
 //! rewriting must preserve structure.
 //!
 //! (Seeded-loop style: the offline build has no proptest, so cases are
@@ -7,10 +8,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tadfa_ir::{Function, FunctionBuilder, VReg, Verifier};
+use std::collections::BTreeSet;
+use tadfa_dataflow::{DenseBitSet, Liveness};
+use tadfa_ir::{Cfg, Function, FunctionBuilder, VReg, Verifier};
 use tadfa_regalloc::{
-    allocate_coloring, allocate_linear_scan, policy_by_name, validate_assignment, RegAllocConfig,
-    POLICY_NAMES,
+    allocate_linear_scan, policy_by_name, validate_assignment, RegAllocConfig, POLICY_NAMES,
 };
 use tadfa_thermal::{Floorplan, RegisterFile};
 
@@ -126,23 +128,148 @@ fn linear_scan_always_valid() {
     }
 }
 
-/// Graph coloring agrees: valid assignments on the same shapes.
+/// The readable liveness oracle: one live set before each program
+/// point of a block (its instructions, then its terminator), iterated
+/// backward to a fixpoint over the reachable blocks. Returns each
+/// block's `(live_in, live_after)`, where `live_after[i]` is the set
+/// live right after instruction `i`. Unreachable blocks stay empty.
+fn oracle_liveness(f: &Function, cfg: &Cfg) -> Vec<(BTreeSet<usize>, Vec<BTreeSet<usize>>)> {
+    let mut before: Vec<Vec<BTreeSet<usize>>> = f
+        .block_ids()
+        .map(|bb| vec![BTreeSet::new(); f.block(bb).insts().len() + 1])
+        .collect();
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for bb in f.block_ids().filter(|&bb| cfg.is_reachable(bb)) {
+            let insts = f.block(bb).insts();
+            let mut live: BTreeSet<usize> = cfg
+                .succs(bb)
+                .iter()
+                .flat_map(|s| before[s.index()][0].iter().copied())
+                .collect();
+            let term = f
+                .terminator(bb)
+                .expect("verified blocks end in a terminator");
+            live.extend(term.uses().iter().map(|u| u.index()));
+            for point in (0..=insts.len()).rev() {
+                if point < insts.len() {
+                    let inst = f.inst(insts[point]);
+                    if let Some(d) = inst.def() {
+                        live.remove(&d.index());
+                    }
+                    live.extend(inst.uses().iter().map(|u| u.index()));
+                }
+                if before[bb.index()][point] != live {
+                    before[bb.index()][point] = live.clone();
+                    changed = true;
+                }
+            }
+        }
+    }
+    before
+        .into_iter()
+        .map(|mut points| {
+            let live_in = points.remove(0);
+            (live_in, points)
+        })
+        .collect()
+}
+
+/// Asserts that `Liveness::compute` matches the oracle bit for bit:
+/// every block's live-in and live-out, and the set after each
+/// instruction of a reachable block.
+fn assert_liveness_matches_oracle(f: &Function, what: &str) {
+    let bits = |set: &BTreeSet<usize>| {
+        let mut s = DenseBitSet::new(f.num_vregs());
+        s.extend(set.iter().copied());
+        s
+    };
+    let cfg = Cfg::compute(f);
+    let live = Liveness::compute(f, &cfg);
+    let oracle = oracle_liveness(f, &cfg);
+    for bb in f.block_ids() {
+        let (live_in, live_after) = &oracle[bb.index()];
+        let mut live_out = BTreeSet::new();
+        if cfg.is_reachable(bb) {
+            for s in cfg.succs(bb) {
+                live_out.extend(&oracle[s.index()].0);
+            }
+            let per_inst = live.per_inst_live_out(f, bb);
+            assert_eq!(per_inst.len(), live_after.len(), "{what}: {bb}");
+            for ((_, got), want) in per_inst.iter().zip(live_after) {
+                assert_eq!(got, &bits(want), "{what}: after an instruction of {bb}");
+            }
+        }
+        assert_eq!(live.live_in(bb), &bits(live_in), "{what}: live-in of {bb}");
+        let want_out = bits(&live_out);
+        assert_eq!(live.live_out(bb), &want_out, "{what}: live-out of {bb}");
+    }
+}
+
+/// `Liveness::compute` against the oracle: the seeded shapes, the same
+/// shapes after spill rewriting, and hand-built edge cases.
 #[test]
-fn coloring_always_valid() {
-    let mut rng = StdRng::seed_from_u64(0xC2);
+fn liveness_matches_the_per_instruction_oracle() {
+    let mut rng = StdRng::seed_from_u64(0xC4);
     for case in 0..32 {
         let (w, l, d, ops) = arb_shape(&mut rng);
-        let func = build(w, l, d, &ops);
-        let rf = RegisterFile::new(Floorplan::grid(4, 4));
-        let mut policy = policy_by_name("first-free", &rf, 3).expect("known policy");
-        let mut f = func.clone();
-        let alloc = allocate_coloring(&mut f, &rf, policy.as_mut(), &RegAllocConfig::default())
-            .unwrap_or_else(|e| panic!("case {case}: {e}"));
-        assert!(
-            validate_assignment(&f, &alloc.assignment).is_empty(),
-            "case {case}"
-        );
+        let mut func = build(w, l, d, &ops);
+        assert_liveness_matches_oracle(&func, &format!("case {case}"));
+        let spilled: Vec<VReg> = (0..func.num_vregs())
+            .step_by(3)
+            .map(|v| VReg::new(v as u32))
+            .collect();
+        tadfa_regalloc::rewrite_spills(&mut func, &spilled);
+        assert_liveness_matches_oracle(&func, &format!("case {case}, spilled"));
     }
+
+    // A block no edge reaches: its uses must not leak into the live
+    // sets, and its own sets stay empty.
+    let mut b = FunctionBuilder::new("unreachable");
+    let x = b.param();
+    let y = b.add(x, x);
+    let dead = b.new_block();
+    let exit = b.new_block();
+    b.jump(exit);
+    b.switch_to(dead);
+    let z = b.add(x, y);
+    b.mov_into(y, z);
+    b.jump(exit);
+    b.switch_to(exit);
+    b.ret(Some(y));
+    assert_liveness_matches_oracle(&b.finish(), "unreachable block");
+
+    // A loop with two entries (`entry` branches into both `a` and
+    // `b`), plus a self-loop behind it.
+    let mut b = FunctionBuilder::new("two_entries");
+    let n = b.param();
+    let c = b.param();
+    let i = b.iconst(0);
+    let acc = b.iconst(0);
+    let la = b.new_block();
+    let lb = b.new_block();
+    let spin = b.new_block();
+    let exit = b.new_block();
+    b.branch(c, la, lb);
+    b.switch_to(la);
+    let acc2 = b.add(acc, i);
+    b.mov_into(acc, acc2);
+    b.jump(lb);
+    b.switch_to(lb);
+    let one = b.iconst(1);
+    let i2 = b.add(i, one);
+    b.mov_into(i, i2);
+    let done = b.cmpge(i, n);
+    b.branch(done, spin, la);
+    b.switch_to(spin);
+    let acc3 = b.sub(acc, one);
+    b.mov_into(acc, acc3);
+    let stop = b.cmplt(acc, n);
+    b.branch(stop, exit, spin);
+    b.switch_to(exit);
+    b.ret(Some(acc));
+    assert_liveness_matches_oracle(&b.finish(), "two-entry loop");
 }
 
 /// Spill rewriting on arbitrary live registers keeps the function

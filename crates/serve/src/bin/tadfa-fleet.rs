@@ -15,20 +15,19 @@
 //! ```text
 //! tadfa-fleet --listen <addr:port> [--scenarios <dir>] [--workers N]
 //!             [--cache-root <dir>] [--state-dir <dir>] [--warm-golden <dir>]
-//!             [--serve-bin <path>] [--serve-arg <arg>]...
-//!             [--health-interval-ms N] [--health-timeout-ms N] [--dead-after N]
-//!             [--restart-backoff-ms N] [--spawn-timeout-ms N] [--compact-on-restart]
-//!             [--queue-capacity N] [--forwarders N] [--default-deadline-ms N]
-//!             [--attempt-timeout-ms N] [--max-retries N]
+//!             [--serve-bin <path>] [--compact-on-restart]
+//!             [--attempt-timeout-ms N]
 //! ```
 //!
-//! Exit codes: `0` clean shutdown, `2` usage/startup error. All
-//! diagnostics (including each worker's stderr, line-prefixed
-//! `[worker-N]`) go to stderr.
+//! `--workers` takes 1 to `tadfa_sched::MAX_WORKERS` (256); each worker
+//! is a process. Exit codes: `0` clean shutdown, `2` usage/startup
+//! error. All diagnostics (including each worker's stderr,
+//! line-prefixed `[worker-N]`) go to stderr.
 
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use tadfa_sched::MAX_WORKERS;
 use tadfa_serve::{Fleet, FleetConfig, Router, RouterPolicy};
 
 const USAGE: &str = "\
@@ -37,25 +36,23 @@ tadfa-fleet — self-healing sharded fleet of tadfa-serve workers
 USAGE:
     tadfa-fleet --listen <addr:port> [--scenarios <dir>] [--workers N]
                 [--cache-root <dir>] [--state-dir <dir>] [--warm-golden <dir>]
-                [--serve-bin <path>] [--serve-arg <arg>]...
-                [--health-interval-ms N] [--health-timeout-ms N] [--dead-after N]
-                [--restart-backoff-ms N] [--spawn-timeout-ms N] [--compact-on-restart]
-                [--queue-capacity N] [--forwarders N] [--default-deadline-ms N]
-                [--attempt-timeout-ms N] [--max-retries N]
+                [--serve-bin <path>] [--compact-on-restart]
+                [--attempt-timeout-ms N]
 
-Spawns --workers tadfa-serve processes, each with its own persistent
-cache slice under --cache-root/worker-<i>, and routes the standard
-JSON-lines protocol from one socket: run-scenario shards by scenario
-stem (cache locality), analyze/analyze-module by stem+source (spread),
-each with the next worker as failover backup. Health probes
-(ping + stats) demote workers healthy -> degraded -> dead; dead
-workers lose their traffic to the backup and are restarted by the
-supervisor with capped exponential backoff, rejoining warm from their
-segment directory. Requests retry with backoff+jitter on queue-full
-and connection errors, and are shed with a typed fleet-overloaded
-error once another retry would breach the deadline. --state-dir holds
-worker-<i>.pid files for chaos tooling; --serve-arg (repeatable)
-passes extra flags through to every worker.";
+Spawns --workers tadfa-serve processes (at most 256), each with its
+own persistent cache slice under --cache-root/worker-<i>, and routes
+the standard JSON-lines protocol from one socket: run-scenario shards
+by scenario stem (cache locality), analyze/analyze-module by
+stem+source (spread), each with the next worker as failover backup.
+Health probes (ping + stats) demote workers healthy -> degraded ->
+dead; dead workers lose their traffic to the backup and are restarted
+by the supervisor with capped exponential backoff, rejoining warm from
+their segment directory. Requests retry with backoff+jitter on
+queue-full and connection errors, and are shed with a typed
+fleet-overloaded error once another retry would breach the deadline;
+each forward attempt is capped at --attempt-timeout-ms. --state-dir
+holds worker-<i>.pid files for chaos tooling; --compact-on-restart
+compacts a dead worker's segment directories before restarting it.";
 
 fn main() -> ExitCode {
     let mut cfg = FleetConfig::default();
@@ -86,7 +83,13 @@ fn main() -> ExitCode {
                 None => return usage_error("--scenarios needs a directory"),
             },
             "--workers" => match u64_arg(arg, it.next()) {
-                Ok(v) => cfg.workers = v as usize,
+                // Each worker is a process.
+                Ok(v) if (1..=MAX_WORKERS as u64).contains(&v) => cfg.workers = v as usize,
+                Ok(v) => {
+                    return usage_error(&format!(
+                        "--workers is {v}, outside the range 1 to {MAX_WORKERS}"
+                    ))
+                }
                 Err(e) => return usage_error(&e),
             },
             "--cache-root" => match it.next() {
@@ -105,49 +108,9 @@ fn main() -> ExitCode {
                 Some(path) => cfg.serve_bin = PathBuf::from(path),
                 None => return usage_error("--serve-bin needs a path"),
             },
-            "--serve-arg" => match it.next() {
-                Some(extra) => cfg.serve_args.push(extra.clone()),
-                None => return usage_error("--serve-arg needs a value"),
-            },
-            "--health-interval-ms" => match u64_arg(arg, it.next()) {
-                Ok(v) => cfg.health.interval_ms = v,
-                Err(e) => return usage_error(&e),
-            },
-            "--health-timeout-ms" => match u64_arg(arg, it.next()) {
-                Ok(v) => cfg.health.timeout_ms = v,
-                Err(e) => return usage_error(&e),
-            },
-            "--dead-after" => match u64_arg(arg, it.next()) {
-                Ok(v) => cfg.health.dead_after = v as u32,
-                Err(e) => return usage_error(&e),
-            },
-            "--restart-backoff-ms" => match u64_arg(arg, it.next()) {
-                Ok(v) => cfg.restart_backoff_ms = v,
-                Err(e) => return usage_error(&e),
-            },
-            "--spawn-timeout-ms" => match u64_arg(arg, it.next()) {
-                Ok(v) => cfg.spawn_timeout_ms = v,
-                Err(e) => return usage_error(&e),
-            },
             "--compact-on-restart" => cfg.compact_on_restart = true,
-            "--queue-capacity" => match u64_arg(arg, it.next()) {
-                Ok(v) => policy.queue_capacity = v as usize,
-                Err(e) => return usage_error(&e),
-            },
-            "--forwarders" => match u64_arg(arg, it.next()) {
-                Ok(v) => policy.forwarders = v as usize,
-                Err(e) => return usage_error(&e),
-            },
-            "--default-deadline-ms" => match u64_arg(arg, it.next()) {
-                Ok(v) => policy.default_deadline_ms = v,
-                Err(e) => return usage_error(&e),
-            },
             "--attempt-timeout-ms" => match u64_arg(arg, it.next()) {
                 Ok(v) => policy.attempt_timeout_ms = v,
-                Err(e) => return usage_error(&e),
-            },
-            "--max-retries" => match u64_arg(arg, it.next()) {
-                Ok(v) => policy.max_retries = v as u32,
                 Err(e) => return usage_error(&e),
             },
             "--help" | "-h" | "help" => {

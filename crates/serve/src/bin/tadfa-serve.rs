@@ -11,8 +11,7 @@
 //! tadfa-serve [--scenarios <dir>] [--pipe | --listen <addr:port>]
 //!             [--queue-capacity N] [--service-workers N] [--engine-workers N]
 //!             [--cache-dir <dir>] [--warm-golden <dir>] [--shed-after-ms N]
-//!             [--reactor-shards N] [--max-line-bytes N]
-//!             [--stall-timeout-ms N] [--compact-cache]
+//!             [--reactor-shards N] [--compact-cache]
 //! ```
 //!
 //! `--cache-dir` turns on the persistent solve-cache tier (preload at
@@ -39,8 +38,7 @@ USAGE:
     tadfa-serve [--scenarios <dir>] [--pipe | --listen <addr:port>]
                 [--queue-capacity N] [--service-workers N] [--engine-workers N]
                 [--cache-dir <dir>] [--warm-golden <dir>] [--shed-after-ms N]
-                [--reactor-shards N] [--max-line-bytes N]
-                [--stall-timeout-ms N] [--compact-cache]
+                [--reactor-shards N] [--compact-cache]
 
 Loads every scenarios/*.toml|json spec once, then serves JSON-lines
 requests ({\"id\": 1, \"op\": \"run-scenario\", \"scenario\": \"<stem>\"},
@@ -121,14 +119,6 @@ fn main() -> ExitCode {
                 Err(e) => return usage_error(&e),
             },
             "--compact-cache" => compact = true,
-            "--max-line-bytes" => match usize_arg(arg, it.next()) {
-                Ok(v) => cfg.max_line_bytes = v,
-                Err(e) => return usage_error(&e),
-            },
-            "--stall-timeout-ms" => match usize_arg(arg, it.next()) {
-                Ok(v) => cfg.stall_timeout_ms = v as u64,
-                Err(e) => return usage_error(&e),
-            },
             "--help" | "-h" | "help" => {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;

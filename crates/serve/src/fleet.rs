@@ -15,9 +15,9 @@
 //!   process is alive but whose health says [`HealthState::Dead`] — the
 //!   SIGSTOP/deadlock shape a crash monitor never catches — is killed
 //!   first, then restarted through the same path;
-//! * the **health loop** probes every worker on the
-//!   [`HealthPolicy`] cadence and drives the per-worker state machine
-//!   the router consults for routing and failover.
+//! * the **health loop** probes every worker on a fixed cadence and
+//!   drives the per-worker state machine (see [`crate::health`]) the
+//!   router consults for routing and failover.
 //!
 //! Recovery is *warm* by construction: a restarted worker reuses its
 //! slice's segment directory, so the persistent tier preloads every
@@ -35,7 +35,9 @@
 //! connections and in-flight probe results from the previous process —
 //! stale history never vouches for a new process.
 
-use crate::health::{probe, probe_kind_for, HealthPolicy, HealthState, HealthTracker};
+use crate::health::{
+    probe, probe_kind_for, HealthState, HealthTracker, DEAD_AFTER, PROBE_INTERVAL, PROBE_TIMEOUT,
+};
 use crate::persist;
 use std::fmt;
 use std::io::{BufRead, BufReader, Write};
@@ -57,6 +59,17 @@ const STABLE_AFTER: Duration = Duration::from_secs(10);
 /// the health loop's verdict (startup probes race the first listen).
 const KILL_GRACE: Duration = Duration::from_secs(2);
 
+/// Base restart backoff in ms, doubled per consecutive respawn failure
+/// up to [`RESTART_BACKOFF_CAP_MS`].
+const RESTART_BACKOFF_MS: u64 = 100;
+
+/// Upper bound on the restart backoff, in ms.
+const RESTART_BACKOFF_CAP_MS: u64 = 5_000;
+
+/// How long a spawned worker may take to report its listening address
+/// before the spawn is declared failed.
+const SPAWN_TIMEOUT: Duration = Duration::from_secs(60);
+
 /// How a [`Fleet`] is built.
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
@@ -77,18 +90,6 @@ pub struct FleetConfig {
     pub warm_golden: Option<PathBuf>,
     /// The `tadfa-serve` binary to spawn.
     pub serve_bin: PathBuf,
-    /// Extra arguments appended to every worker's command line.
-    pub serve_args: Vec<String>,
-    /// Probe cadence and demotion thresholds.
-    pub health: HealthPolicy,
-    /// Base restart backoff, doubled per consecutive respawn failure
-    /// up to [`FleetConfig::restart_backoff_cap_ms`].
-    pub restart_backoff_ms: u64,
-    /// Upper bound on the restart backoff.
-    pub restart_backoff_cap_ms: u64,
-    /// How long a spawned worker may take to report its listening
-    /// address before the spawn is declared failed.
-    pub spawn_timeout_ms: u64,
     /// Compact the dead worker's segment directories (dropping
     /// duplicate-key records) before each restart — the supervisor
     /// hook for [`persist::compact_dir`].
@@ -104,11 +105,6 @@ impl Default for FleetConfig {
             state_dir: PathBuf::from("fleet-state"),
             warm_golden: None,
             serve_bin: PathBuf::from("tadfa-serve"),
-            serve_args: Vec::new(),
-            health: HealthPolicy::default(),
-            restart_backoff_ms: 100,
-            restart_backoff_cap_ms: 5_000,
-            spawn_timeout_ms: 60_000,
             compact_on_restart: false,
         }
     }
@@ -417,7 +413,7 @@ impl Fleet {
                     children.push(ChildState::Alive {
                         child,
                         spawned_at: Instant::now(),
-                        backoff_ms: cfg.restart_backoff_ms,
+                        backoff_ms: RESTART_BACKOFF_MS,
                     });
                 }
                 Err(message) => {
@@ -459,8 +455,7 @@ impl Fleet {
         };
         let health = {
             let state = Arc::clone(&state);
-            let policy = cfg.health.clone();
-            std::thread::spawn(move || health_loop(&state, &policy))
+            std::thread::spawn(move || health_loop(&state))
         };
         vec![supervisor, health]
     }
@@ -492,8 +487,7 @@ fn spawn_worker(cfg: &FleetConfig, index: usize) -> Result<(Child, SocketAddr, u
     if let Some(golden) = &cfg.warm_golden {
         cmd.arg("--warm-golden").arg(golden);
     }
-    cmd.args(&cfg.serve_args)
-        .stdin(Stdio::null())
+    cmd.stdin(Stdio::null())
         .stdout(Stdio::null())
         .stderr(Stdio::piped());
     let mut child = cmd.spawn().map_err(|e| format!("spawn: {e}"))?;
@@ -525,7 +519,7 @@ fn spawn_worker(cfg: &FleetConfig, index: usize) -> Result<(Child, SocketAddr, u
         }
     });
 
-    let addr = match rx.recv_timeout(Duration::from_millis(cfg.spawn_timeout_ms.max(1))) {
+    let addr = match rx.recv_timeout(SPAWN_TIMEOUT) {
         Ok(Ok(addr)) => addr,
         Ok(Err(message)) => {
             let _ = child.kill();
@@ -537,7 +531,7 @@ fn spawn_worker(cfg: &FleetConfig, index: usize) -> Result<(Child, SocketAddr, u
             let _ = child.wait();
             return Err(format!(
                 "no listening address within {} ms",
-                cfg.spawn_timeout_ms
+                SPAWN_TIMEOUT.as_millis()
             ));
         }
     };
@@ -570,9 +564,9 @@ fn supervise(state: &FleetState, cfg: &FleetConfig, mut children: Vec<ChildState
                         // A worker that stayed up long enough proved
                         // the backoff can reset; a crash loop doubles.
                         let next_backoff = if spawned_at.elapsed() >= STABLE_AFTER {
-                            cfg.restart_backoff_ms
+                            RESTART_BACKOFF_MS
                         } else {
-                            (*backoff_ms * 2).min(cfg.restart_backoff_cap_ms)
+                            (*backoff_ms * 2).min(RESTART_BACKOFF_CAP_MS)
                         };
                         eprintln!(
                             "tadfa-fleet: worker-{index} exited; restart in {next_backoff} ms \
@@ -617,7 +611,7 @@ fn supervise(state: &FleetState, cfg: &FleetConfig, mut children: Vec<ChildState
                             };
                         }
                         Err(message) => {
-                            let next = (backoff_ms * 2).min(cfg.restart_backoff_cap_ms);
+                            let next = (backoff_ms * 2).min(RESTART_BACKOFF_CAP_MS);
                             eprintln!(
                                 "tadfa-fleet: worker-{index} restart failed ({message}); \
                                  next attempt in {next} ms"
@@ -700,21 +694,19 @@ fn send_shutdown(addr: SocketAddr) {
 
 /// The health loop: probe every in-service worker each round, feed the
 /// per-slot state machine, exit on shutdown.
-fn health_loop(state: &FleetState, policy: &HealthPolicy) {
-    let interval = Duration::from_millis(policy.interval_ms.max(10));
-    let timeout = Duration::from_millis(policy.timeout_ms.max(1));
+fn health_loop(state: &FleetState) {
     let mut round: u64 = 0;
     while !state.shutting_down() {
         round += 1;
-        let probe_kind = probe_kind_for(policy, round);
+        let probe_kind = probe_kind_for(round);
         for slot in state.slots() {
             let Some((addr, generation)) = slot.addr() else {
                 continue;
             };
-            let ok = probe(addr, probe_kind, timeout).is_ok();
-            slot.record_probe(generation, ok, policy.dead_after);
+            let ok = probe(addr, probe_kind, PROBE_TIMEOUT).is_ok();
+            slot.record_probe(generation, ok, DEAD_AFTER);
         }
-        std::thread::sleep(interval);
+        std::thread::sleep(PROBE_INTERVAL);
     }
 }
 

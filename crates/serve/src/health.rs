@@ -5,55 +5,42 @@
 //! A fleet worker is useful only while it answers the protocol; a
 //! worker that crashed, hung (SIGSTOP, deadlock), or wedged its worker
 //! pool must stop receiving traffic *before* clients notice. The
-//! health loop probes every worker on a fixed cadence — a `ping`
-//! normally, a `stats` request every
-//! [`HealthPolicy::stats_every`]-th probe (a worker can answer pings
-//! from its reactor while its service workers are wedged; a stats
-//! round trip proves the whole request path, and a stats response that
-//! stops arriving is the staleness signal) — each over a fresh
-//! connection with a hard [`HealthPolicy::timeout_ms`] deadline.
+//! health loop probes every worker every 500 ms — a `ping` normally, a
+//! `stats` request every fourth probe (a worker can answer pings from
+//! its reactor while its service workers are wedged; a stats round
+//! trip proves the whole request path, and a stats response that stops
+//! arriving is the staleness signal) — each over a fresh connection
+//! with a hard 1 s deadline.
 //!
 //! The state machine is deliberately asymmetric: demotion is gradual
-//! (one failed probe is suspicion, [`HealthPolicy::dead_after`]
-//! consecutive failures are a verdict), promotion is instant (one
-//! successful probe fully resets the tracker). The router keeps
-//! routing to a [`HealthState::Degraded`] worker — a single dropped
-//! probe on a busy box must not hemorrhage its shard's cache warmth —
-//! but skips [`HealthState::Dead`] ones, failing their keyspace over
-//! to the backup; the supervisor additionally force-restarts a worker
-//! whose *process* is alive but whose health says dead (the hung-worker
+//! (one failed probe is suspicion, three consecutive failures are a
+//! verdict), promotion is instant (one successful probe fully resets
+//! the tracker). The router keeps routing to a
+//! [`HealthState::Degraded`] worker — a single dropped probe on a busy
+//! box must not hemorrhage its shard's cache warmth — but skips
+//! [`HealthState::Dead`] ones, failing their keyspace over to the
+//! backup; the supervisor additionally force-restarts a worker whose
+//! *process* is alive but whose health says dead (the hung-worker
 //! shape a crash monitor alone never catches).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-/// Cadence and thresholds for the fleet health loop.
-#[derive(Clone, Debug)]
-pub struct HealthPolicy {
-    /// Milliseconds between probe rounds.
-    pub interval_ms: u64,
-    /// Per-probe deadline (connect + request + response).
-    pub timeout_ms: u64,
-    /// Consecutive probe failures before a worker is declared
-    /// [`HealthState::Dead`] (below that it is merely degraded).
-    pub dead_after: u32,
-    /// Every Nth probe sends `stats` instead of `ping`, exercising the
-    /// full admission→worker→response path instead of the reactor's
-    /// inline pong. `0` disables stats probes.
-    pub stats_every: u32,
-}
+/// Time between probe rounds.
+pub(crate) const PROBE_INTERVAL: Duration = Duration::from_millis(500);
 
-impl Default for HealthPolicy {
-    fn default() -> HealthPolicy {
-        HealthPolicy {
-            interval_ms: 500,
-            timeout_ms: 1_000,
-            dead_after: 3,
-            stats_every: 4,
-        }
-    }
-}
+/// Per-probe deadline (connect + request + response).
+pub(crate) const PROBE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Consecutive probe failures before a worker is declared
+/// [`HealthState::Dead`] (below that it is merely degraded).
+pub(crate) const DEAD_AFTER: u32 = 3;
+
+/// Every fourth probe sends `stats` instead of `ping`, exercising the
+/// full admission→worker→response path instead of the reactor's inline
+/// pong.
+const STATS_EVERY: u64 = 4;
 
 /// Where a worker stands in the health state machine.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -63,12 +50,12 @@ pub enum HealthState {
     Starting,
     /// Probes are landing; in rotation.
     Healthy,
-    /// At least one recent probe failed, but fewer than
-    /// [`HealthPolicy::dead_after`] in a row — still in rotation (the
-    /// cache-warmth of a shard is worth a little suspicion), watched.
+    /// At least one recent probe failed, but fewer than three in a row
+    /// — still in rotation (the cache-warmth of a shard is worth a
+    /// little suspicion), watched.
     Degraded,
-    /// [`HealthPolicy::dead_after`] consecutive probes failed: out of
-    /// rotation, keyspace failed over, supervisor restart incoming.
+    /// Three consecutive probes failed: out of rotation, keyspace
+    /// failed over, supervisor restart incoming.
     Dead,
 }
 
@@ -223,10 +210,10 @@ pub fn probe(addr: SocketAddr, probe_kind: ProbeKind, timeout: Duration) -> Resu
     }
 }
 
-/// Which [`ProbeKind`] the `n`th probe (1-based) should send under a
-/// policy: every `stats_every`th is a stats probe, the rest pings.
-pub fn probe_kind_for(policy: &HealthPolicy, n: u64) -> ProbeKind {
-    if policy.stats_every > 0 && n.is_multiple_of(u64::from(policy.stats_every)) {
+/// Which [`ProbeKind`] the `n`th probe (1-based) should send: every
+/// fourth is a stats probe, the rest pings.
+pub fn probe_kind_for(n: u64) -> ProbeKind {
+    if n.is_multiple_of(STATS_EVERY) {
         ProbeKind::Stats
     } else {
         ProbeKind::Ping
@@ -279,27 +266,20 @@ mod tests {
 
     #[test]
     fn probe_schedule_interleaves_stats() {
-        let policy = HealthPolicy {
-            stats_every: 3,
-            ..HealthPolicy::default()
-        };
-        let kinds: Vec<ProbeKind> = (1..=6).map(|n| probe_kind_for(&policy, n)).collect();
+        let kinds: Vec<ProbeKind> = (1..=8).map(probe_kind_for).collect();
         assert_eq!(
             kinds,
             vec![
                 ProbeKind::Ping,
                 ProbeKind::Ping,
+                ProbeKind::Ping,
                 ProbeKind::Stats,
+                ProbeKind::Ping,
                 ProbeKind::Ping,
                 ProbeKind::Ping,
                 ProbeKind::Stats,
             ]
         );
-        let none = HealthPolicy {
-            stats_every: 0,
-            ..HealthPolicy::default()
-        };
-        assert!((1..=8).all(|n| probe_kind_for(&none, n) == ProbeKind::Ping));
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub mod router;
 pub mod service;
 
 pub use fleet::{Fleet, FleetConfig, FleetError, FleetState, SlotSnapshot, WorkerSlot};
-pub use health::{HealthPolicy, HealthState, HealthTracker, ProbeKind};
+pub use health::{HealthState, HealthTracker, ProbeKind};
 pub use latency::{LatencyHistogram, LatencySnapshot};
 pub use persist::{CompactPlan, CompactReport, LoadReport, PersistStats, SegmentStore};
 pub use protocol::{parse_request, parse_response, Op, ParsedResponse, Request, RequestError};

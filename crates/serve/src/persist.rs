@@ -62,11 +62,12 @@ const SEGMENT_EXT: &str = "tadc";
 /// must not drive an allocation.
 const MAX_RECORD_BYTES: u32 = 1 << 28;
 
-/// FNV-1a 64 over raw bytes — the per-record checksum. (The hashing
-/// crate's FNV-1a 128 keys `f64` bit patterns; records here are
-/// opaque bytes, and 64 bits of detection is plenty for torn writes
-/// and bit rot.)
-fn fnv1a64(bytes: &[u8]) -> u64 {
+/// FNV-1a 64 over raw bytes — the per-record checksum, and the
+/// router's shard hash (stable across processes and runs, unlike the
+/// std hasher's per-process seed). (The hashing crate's FNV-1a 128
+/// keys `f64` bit patterns; records here are opaque bytes, and 64 bits
+/// of detection is plenty for torn writes and bit rot.)
+pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);

@@ -33,6 +33,7 @@
 //! `reload` by broadcasting it.
 
 use crate::fleet::{FleetState, WorkerSlot};
+use crate::persist::fnv1a64;
 use crate::protocol::{self, kind, Op};
 use crate::queue::RejectReason;
 use crate::reactor::{self, write_line, Admission, Job, LineHandler};
@@ -44,16 +45,27 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// FNV-1a 64 — the shard hash (stable across processes and runs, no
-/// dependency on the std hasher's per-process seed).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// Router admission-queue slots (overflow is shed as
+/// `fleet-overloaded`).
+const QUEUE_CAPACITY: usize = 64;
+
+/// Forwarder threads draining the queue.
+const FORWARDERS: usize = 8;
+
+/// Per-connect timeout when dialing a worker.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Deadline in ms applied when a request does not carry `deadline_ms`.
+const DEFAULT_DEADLINE_MS: u64 = 30_000;
+
+/// Retries after the first attempt before the request is shed.
+const MAX_RETRIES: u32 = 5;
+
+/// First retry backoff in ms; doubles per attempt.
+const BACKOFF_BASE_MS: u64 = 20;
+
+/// Retry backoff ceiling in ms.
+const BACKOFF_CAP_MS: u64 = 1_000;
 
 /// The primary worker index for a scenario stem in an `n`-worker
 /// fleet. Public so chaos harnesses can aim at (or away from) the
@@ -82,27 +94,12 @@ fn shard_key(op: &Op) -> Option<u64> {
     }
 }
 
-/// Routing, retry, and shedding knobs.
+/// The router's two settable limits.
 #[derive(Clone, Debug)]
 pub struct RouterPolicy {
-    /// Router admission-queue slots (overflow is shed as
-    /// `fleet-overloaded`).
-    pub queue_capacity: usize,
-    /// Forwarder threads draining the queue.
-    pub forwarders: usize,
-    /// Per-connect timeout when dialing a worker.
-    pub connect_timeout_ms: u64,
-    /// Deadline applied when a request does not carry `deadline_ms`.
-    pub default_deadline_ms: u64,
     /// Cap on any single forward attempt (so one hung worker burns one
     /// attempt, not the whole deadline).
     pub attempt_timeout_ms: u64,
-    /// Retries after the first attempt before the request is shed.
-    pub max_retries: u32,
-    /// First backoff; doubles per attempt.
-    pub backoff_base_ms: u64,
-    /// Backoff ceiling.
-    pub backoff_cap_ms: u64,
     /// Longest accepted request line.
     pub max_line_bytes: usize,
 }
@@ -110,14 +107,7 @@ pub struct RouterPolicy {
 impl Default for RouterPolicy {
     fn default() -> RouterPolicy {
         RouterPolicy {
-            queue_capacity: 64,
-            forwarders: 8,
-            connect_timeout_ms: 1_000,
-            default_deadline_ms: 30_000,
             attempt_timeout_ms: 5_000,
-            max_retries: 5,
-            backoff_base_ms: 20,
-            backoff_cap_ms: 1_000,
             max_line_bytes: 1 << 20,
         }
     }
@@ -147,11 +137,10 @@ pub struct Router {
 impl Router {
     /// A router over a fleet's shared state.
     pub fn new(state: Arc<FleetState>, policy: RouterPolicy) -> Arc<Router> {
-        let queue_capacity = policy.queue_capacity;
         Arc::new(Router {
             state,
             policy,
-            admission: Admission::new(queue_capacity),
+            admission: Admission::new(QUEUE_CAPACITY),
             forwarded: AtomicU64::new(0),
             retries: AtomicU64::new(0),
             failovers: AtomicU64::new(0),
@@ -160,7 +149,7 @@ impl Router {
 
     /// Starts the forwarder threads that drain the admission queue.
     pub fn run_forwarders(self: &Arc<Router>) -> Vec<std::thread::JoinHandle<()>> {
-        (0..self.policy.forwarders.max(1))
+        (0..FORWARDERS)
             .map(|_| {
                 let router = Arc::clone(self);
                 std::thread::spawn(move || {
@@ -208,10 +197,8 @@ impl Router {
         let deadline_ms = match &job.request.op {
             Op::RunScenario { deadline_ms, .. }
             | Op::Analyze { deadline_ms, .. }
-            | Op::AnalyzeModule { deadline_ms, .. } => {
-                deadline_ms.unwrap_or(self.policy.default_deadline_ms)
-            }
-            _ => self.policy.default_deadline_ms,
+            | Op::AnalyzeModule { deadline_ms, .. } => deadline_ms.unwrap_or(DEFAULT_DEADLINE_MS),
+            _ => DEFAULT_DEADLINE_MS,
         };
         let deadline = job.admitted + Duration::from_millis(deadline_ms.max(1));
         let attempt_cap = Duration::from_millis(self.policy.attempt_timeout_ms.max(1));
@@ -238,12 +225,7 @@ impl Router {
                 if attempt > 0 {
                     self.retries.fetch_add(1, Ordering::Relaxed);
                 }
-                match call_worker(
-                    slot,
-                    &job.line,
-                    remaining.min(attempt_cap),
-                    Duration::from_millis(self.policy.connect_timeout_ms.max(1)),
-                ) {
+                match call_worker(slot, &job.line, remaining.min(attempt_cap)) {
                     Ok(response) => {
                         let retryable = protocol::parse_response(&response)
                             .ok()
@@ -271,10 +253,10 @@ impl Router {
                 }
             }
             attempt += 1;
-            if attempt > self.policy.max_retries {
+            if attempt > MAX_RETRIES {
                 return self.shed_response(job, attempt, "retry budget exhausted");
             }
-            let backoff = backoff_for(&self.policy, job.request.id, attempt);
+            let backoff = backoff_for(job.request.id, attempt);
             if Instant::now() + backoff >= deadline {
                 return self.shed_response(job, attempt, "next retry would breach the deadline");
             }
@@ -296,15 +278,14 @@ impl Router {
     /// one of them reloaded.
     fn broadcast_reload(&self, id: u64) -> String {
         let line = format!("{{\"id\": {id}, \"op\": \"reload\"}}");
-        let timeout = Duration::from_millis(self.policy.default_deadline_ms.max(1));
-        let connect = Duration::from_millis(self.policy.connect_timeout_ms.max(1));
+        let timeout = Duration::from_millis(DEFAULT_DEADLINE_MS);
         let mut scenarios: Option<u64> = None;
         let mut reloaded = 0usize;
         for slot in self.state.slots() {
             if !slot.routable() {
                 continue;
             }
-            let parsed = call_worker(slot, &line, timeout, connect)
+            let parsed = call_worker(slot, &line, timeout)
                 .ok()
                 .and_then(|r| protocol::parse_response(&r).ok());
             match parsed {
@@ -342,7 +323,6 @@ impl Router {
 
         let line = "{\"id\": 0, \"op\": \"stats\"}";
         let timeout = Duration::from_millis(self.policy.attempt_timeout_ms.max(1));
-        let connect = Duration::from_millis(self.policy.connect_timeout_ms.max(1));
 
         // stem -> section ("cache"/"persist"/"" for top-level counters)
         // -> field -> sum. Stems keep first-appearance order.
@@ -354,7 +334,7 @@ impl Router {
         for (i, slot) in self.state.slots().iter().enumerate() {
             let snap = slot.snapshot();
             let doc = if snap.addr.is_some() {
-                call_worker(slot, line, timeout, connect)
+                call_worker(slot, line, timeout)
                     .ok()
                     .and_then(|r| protocol::parse_response(&r).ok())
                     .filter(|r| r.ok)
@@ -488,10 +468,7 @@ impl LineHandler for Router {
                 self.admission.shed.fetch_add(1, Ordering::Relaxed);
                 (
                     kind::FLEET_OVERLOADED,
-                    format!(
-                        "router queue full (capacity {})",
-                        self.policy.queue_capacity
-                    ),
+                    format!("router queue full (capacity {QUEUE_CAPACITY})"),
                 )
             }
             RejectReason::Closed => (kind::SHUTTING_DOWN, "fleet is shutting down".to_string()),
@@ -511,12 +488,10 @@ impl LineHandler for Router {
 /// The capped exponential backoff before retry `attempt` (1-based),
 /// with deterministic jitter keyed on `(id, attempt)` so a burst of
 /// rejected requests does not retry in lockstep.
-fn backoff_for(policy: &RouterPolicy, id: u64, attempt: u32) -> Duration {
-    let base = policy
-        .backoff_base_ms
-        .max(1)
+fn backoff_for(id: u64, attempt: u32) -> Duration {
+    let base = BACKOFF_BASE_MS
         .saturating_mul(1u64 << (attempt - 1).min(16))
-        .min(policy.backoff_cap_ms.max(1));
+        .min(BACKOFF_CAP_MS);
     let mut seed = [0u8; 12];
     seed[..8].copy_from_slice(&id.to_le_bytes());
     seed[8..].copy_from_slice(&attempt.to_le_bytes());
@@ -528,14 +503,9 @@ fn backoff_for(policy: &RouterPolicy, id: u64, attempt: u32) -> Duration {
 /// connection. A clean exchange returns the connection to the pool;
 /// *any* error drops it (a half-used connection with an abandoned
 /// in-flight request must never be reused).
-fn call_worker(
-    slot: &WorkerSlot,
-    line: &str,
-    timeout: Duration,
-    connect_timeout: Duration,
-) -> Result<String, String> {
+fn call_worker(slot: &WorkerSlot, line: &str, timeout: Duration) -> Result<String, String> {
     let (generation, stream) = slot
-        .checkout(connect_timeout.min(timeout))
+        .checkout(CONNECT_TIMEOUT.min(timeout))
         .map_err(|e| format!("connect: {e}"))?;
     let exchange = (|| -> std::io::Result<String> {
         stream.set_read_timeout(Some(timeout))?;
@@ -582,6 +552,29 @@ mod tests {
         assert_eq!(shard_of("anything", 0), 0, "worker count clamped");
     }
 
+    /// A worker's cache slice holds the scenarios it owns, so the shard
+    /// hash must not move: these are the committed specs' owners in a
+    /// three-worker fleet.
+    #[test]
+    fn committed_specs_keep_their_shard_owners() {
+        let owners = [
+            ("covert_pinned_dvfs", 2),
+            ("covert_pinned_none", 2),
+            ("covert_pinned_throttle", 0),
+            ("dual_suite_coolest", 1),
+            ("files_pair", 2),
+            ("het_bursty_dvfs", 0),
+            ("migrate_diurnal", 2),
+            ("module_call_tree", 2),
+            ("octa_shard", 0),
+            ("quad_generated_balanced", 1),
+            ("solo_baseline", 2),
+        ];
+        for (stem, owner) in owners {
+            assert_eq!(shard_of(stem, 3), owner, "{stem}");
+        }
+    }
+
     #[test]
     fn scenario_requests_shard_by_stem_alone() {
         let a = shard_key(&Op::RunScenario {
@@ -612,14 +605,9 @@ mod tests {
 
     #[test]
     fn backoff_grows_caps_and_jitters_deterministically() {
-        let policy = RouterPolicy {
-            backoff_base_ms: 20,
-            backoff_cap_ms: 1_000,
-            ..RouterPolicy::default()
-        };
         for attempt in 1..=12u32 {
             let base = 20u64.saturating_mul(1 << (attempt - 1).min(16)).min(1_000);
-            let d = backoff_for(&policy, 7, attempt);
+            let d = backoff_for(7, attempt);
             assert!(
                 d >= Duration::from_millis(base),
                 "attempt {attempt}: {d:?} below base {base} ms"
@@ -628,12 +616,12 @@ mod tests {
                 d <= Duration::from_millis(base + base / 2),
                 "attempt {attempt}: {d:?} above jitter ceiling"
             );
-            assert_eq!(d, backoff_for(&policy, 7, attempt), "deterministic");
+            assert_eq!(d, backoff_for(7, attempt), "deterministic");
         }
         // Different ids jitter differently (no retry lockstep) for at
         // least some attempt.
         assert!(
-            (1..=6).any(|a| backoff_for(&policy, 1, a) != backoff_for(&policy, 2, a)),
+            (1..=6).any(|a| backoff_for(1, a) != backoff_for(2, a)),
             "jitter must depend on the request id"
         );
     }
@@ -643,7 +631,6 @@ mod tests {
         let fleet = crate::fleet::Fleet::launch(crate::fleet::FleetConfig {
             workers: 1,
             serve_bin: std::path::PathBuf::from("/nonexistent-tadfa-serve"),
-            spawn_timeout_ms: 10,
             ..crate::fleet::FleetConfig::default()
         });
         assert!(fleet.is_err(), "bogus binary cannot launch");

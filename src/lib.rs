@@ -7,9 +7,9 @@
 //! | crate | contents |
 //! |-------|----------|
 //! | [`ir`] | three-address IR (with direct calls + modules), CFG, dominators, loops, call graph, parser, verifier |
-//! | [`dataflow`] | worklist solver, liveness, def-use chains, live intervals |
+//! | [`dataflow`] | liveness, def-use chains, live intervals |
 //! | [`thermal`] | register-file floorplan, RC compact model, power model, heat maps |
-//! | [`regalloc`] | linear-scan + coloring allocators, Fig. 1 assignment policies |
+//! | [`regalloc`] | linear-scan allocator, Fig. 1 assignment policies |
 //! | [`core`] | **the paper**: the [`Session`](crate::prelude::Session) façade, the thermal DFA (Fig. 2), δ-convergence, critical variables, predictive mode, the parallel [`engine`] |
 //! | [`opt`] | §4 optimizations: spill-critical, splitting, scheduling, promotion, NOPs |
 //! | [`sim`] | IR interpreter, access traces, thermal co-simulation (ground truth) |
@@ -74,8 +74,8 @@ pub mod prelude {
     pub use tadfa_ir::{Cfg, Function, FunctionBuilder, Opcode, PReg, VReg, Verifier};
     pub use tadfa_opt::{run_thermal_pipeline, OptKind, PipelineConfig, SessionOptimize};
     pub use tadfa_regalloc::{
-        allocate_coloring, allocate_linear_scan, AssignmentPolicy, Chessboard, ColdestFirst,
-        FarthestSpread, FirstFree, RandomPolicy, RegAllocConfig, RoundRobin,
+        allocate_linear_scan, AssignmentPolicy, Chessboard, ColdestFirst, FarthestSpread,
+        FirstFree, RandomPolicy, RegAllocConfig, RoundRobin,
     };
     pub use tadfa_sched::{
         mapping_policy_by_name, run_scenario, MappingPolicy, MultiCoreFloorplan, ScenarioConfig,
